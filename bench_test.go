@@ -188,7 +188,10 @@ func BenchmarkFig14Adaptation(b *testing.B) {
 func BenchmarkControllerDecision(b *testing.B) {
 	opts := benchOpts()
 	c, _ := experiments.AppCaseByName("social-network")
-	mgr := opts.NewUrsaManager(c)
+	mgr, err := opts.NewManager(c, "ursa")
+	if err != nil {
+		b.Fatal(err)
+	}
 	eng := sim.NewEngine(1)
 	app, err := services.NewApp(eng, c.Spec)
 	if err != nil {

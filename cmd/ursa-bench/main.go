@@ -13,8 +13,6 @@
 // result), figs1 (fleet scaling curve; -figs1-nodes/-figs1-tenants size the
 // sweeps, -figs1-json writes BENCH_placement.json), all. Scale < 1 shortens
 // deployments and ML sample counts proportionally; shapes are preserved.
-// -no-fast-resolve disables the incremental re-solve fast path everywhere,
-// reproducing outputs from before it became the default.
 //
 // Independent simulation cells run concurrently on a bounded worker pool
 // (-parallel, default GOMAXPROCS); results are merged in a canonical order,
@@ -43,7 +41,6 @@ func main() {
 		systems  = flag.String("systems", "", "comma-separated system filter for fig11/fig12")
 		parallel = flag.Int("parallel", 0, "worker pool size for independent simulation cells (0 = GOMAXPROCS, 1 = sequential)")
 		quiet    = flag.Bool("q", false, "suppress progress logging")
-		noFast   = flag.Bool("no-fast-resolve", false, "disable the incremental re-solve fast path (full model solve on every Optimize)")
 
 		corpusN    = flag.Int("corpus-n", 100, "number of generated topologies for figc1")
 		corpusJSON = flag.String("corpus-json", "", "also write the figc1 result as JSON to this path")
@@ -54,7 +51,7 @@ func main() {
 	)
 	flag.Parse()
 
-	opts := experiments.Options{Seed: *seed, Scale: *scale, Parallelism: *parallel, NoFastResolve: *noFast}
+	opts := experiments.Options{Seed: *seed, Scale: *scale, Parallelism: *parallel}
 	if !*quiet {
 		opts.Log = os.Stderr
 	}

@@ -21,6 +21,10 @@
 // the fastest way to author a variant is to dump a built-in and edit it.
 // -validate type-checks spec files without running anything.
 //
+// The run itself is experiments.Options.Run — the same deployment runner
+// every comparison figure uses — so this command only maps flags onto a
+// Scenario, wires the file sinks and prints the report.
+//
 // Profiling: -cpuprofile / -memprofile write runtime/pprof profiles of the
 // whole run (inspect with `go tool pprof`), so hot-path regressions are
 // diagnosable without editing code.
@@ -39,17 +43,15 @@
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 
-	"ursa/internal/baselines"
-	"ursa/internal/baselines/autoscale"
-	"ursa/internal/cluster"
 	"ursa/internal/experiments"
 	"ursa/internal/faults"
 	"ursa/internal/metrics"
@@ -63,358 +65,265 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "ursa-sim:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("ursa-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		appName  = flag.String("app", "social-network", "application: social-network|vanilla-social-network|media-service|video-pipeline")
-		system   = flag.String("system", "ursa", "manager: ursa|sinan|firm|auto-a|auto-b|none")
-		load     = flag.String("load", "constant", "load pattern: constant|diurnal|burst")
-		minutes  = flag.Int("minutes", 30, "deployment duration (simulated minutes)")
-		rpsMult  = flag.Float64("rps", 1.0, "multiplier on the app's nominal RPS")
-		seed     = flag.Int64("seed", 1, "random seed")
-		scale    = flag.Float64("scale", 0.5, "training/exploration scale for managers that need it")
-		parallel = flag.Int("parallel", 0, "worker pool size for harness-level preparation (0 = GOMAXPROCS, 1 = sequential)")
-		quiet    = flag.Bool("q", false, "suppress progress logging")
-		noFast   = flag.Bool("no-fast-resolve", false, "disable ursa's incremental re-solve fast path (full model solve on every Optimize)")
-		specFile = flag.String("spec", "", "load a custom application spec from a JSON file (overrides -app; rate via -basirps)")
-		baseRPS  = flag.Float64("basirps", 100, "nominal RPS for a -spec application")
-		topoFile = flag.String("topology", "", "load an application from a declarative spec file (.yaml or .json, see examples/specs/); overrides -app")
-		dumpTopo = flag.String("dump-topology", "", "print the canonical spec of a built-in app or corpus-s<seed>-<n> member, then exit")
-		validate = flag.Bool("validate", false, "parse, validate and compile the spec files given as arguments, then exit (non-zero on error)")
+		appName  = fs.String("app", "social-network", "application: social-network|vanilla-social-network|media-service|video-pipeline")
+		system   = fs.String("system", "ursa", "manager: ursa|sinan|firm|auto-a|auto-b|none")
+		load     = fs.String("load", "constant", "load pattern: constant|diurnal|burst")
+		minutes  = fs.Int("minutes", 30, "deployment duration (simulated minutes)")
+		rpsMult  = fs.Float64("rps", 1.0, "multiplier on the app's nominal RPS")
+		seed     = fs.Int64("seed", 1, "random seed")
+		scale    = fs.Float64("scale", 0.5, "training/exploration scale for managers that need it")
+		parallel = fs.Int("parallel", 0, "worker pool size for harness-level preparation (0 = GOMAXPROCS, 1 = sequential)")
+		quiet    = fs.Bool("q", false, "suppress progress logging")
+		topoFile = fs.String("topology", "", "load an application from a declarative spec file (.yaml or .json, see examples/specs/); overrides -app")
+		dumpTopo = fs.String("dump-topology", "", "print the canonical spec of a built-in app or corpus-s<seed>-<n> member, then exit")
+		validate = fs.Bool("validate", false, "parse, validate and compile the spec files given as arguments, then exit (non-zero on error)")
 
-		failNode   = flag.String("fail-node", "", "crash this node mid-run (e.g. node-7); binds the app to the paper testbed cluster")
-		failAt     = flag.Float64("fail-at", 10, "minutes after warm-up at which the node (or region) fails")
-		failFor    = flag.Float64("fail-for", 5, "minutes until the failed node (or region) recovers (0 = never)")
-		resilience = flag.Bool("resilience", false, "enable client-side RPC timeouts and retries")
+		failNode   = fs.String("fail-node", "", "crash this node mid-run (e.g. node-7); binds the app to the paper testbed cluster")
+		failAt     = fs.Float64("fail-at", 10, "minutes after warm-up at which the node (or region) fails")
+		failFor    = fs.Float64("fail-for", 5, "minutes until the failed node (or region) recovers (0 = never)")
+		resilience = fs.Bool("resilience", false, "enable client-side RPC timeouts and retries")
 
-		useRegions = flag.Bool("regions", false, "deploy on the app's geo-region topology: the spec's regions: section, or the Fig.R1 layout for social-network")
-		spill      = flag.Bool("spill", true, "with -regions, let placement overflow into the nearest foreign region when home is capacity-short")
-		failRegion = flag.String("fail-region", "", "with -regions, fail every node of this region mid-run (timing via -fail-at/-fail-for)")
+		useRegions = fs.Bool("regions", false, "deploy on the app's geo-region topology: the spec's regions: section, or the Fig.R1 layout for social-network")
+		spill      = fs.Bool("spill", true, "with -regions, let placement overflow into the nearest foreign region when home is capacity-short")
+		failRegion = fs.String("fail-region", "", "with -regions, fail every node of this region mid-run (timing via -fail-at/-fail-for)")
 
-		telemetry   = flag.String("telemetry", "exact", "latency collectors: exact (raw samples) | sketch (bounded-error quantile sketches, flat memory)")
-		sketchAlpha = flag.Float64("sketch-alpha", 0.01, "relative-error bound for -telemetry sketch")
-		retention   = flag.Int("retention", 0, "trim telemetry windows older than this many minutes (0 = keep everything)")
-		traceOut    = flag.String("trace-out", "", "stream sampled request traces to this file as OTLP-style JSONL spans")
-		traceSample = flag.Int("trace-sample", 20, "with -trace-out, trace one of every N jobs")
-		metricsOut  = flag.String("metrics-out", "", "write retained per-window latency/arrival metrics to this file as OTLP-style JSONL summary points")
+		telemetry   = fs.String("telemetry", "exact", "latency collectors: exact (raw samples) | sketch (bounded-error quantile sketches, flat memory)")
+		sketchAlpha = fs.Float64("sketch-alpha", 0.01, "relative-error bound for -telemetry sketch")
+		retention   = fs.Int("retention", 0, "trim telemetry windows older than this many minutes (0 = keep everything)")
+		traceOut    = fs.String("trace-out", "", "stream sampled request traces to this file as OTLP-style JSONL spans")
+		traceSample = fs.Int("trace-sample", 20, "with -trace-out, trace one of every N jobs")
+		metricsOut  = fs.String("metrics-out", "", "write retained per-window latency/arrival metrics to this file as OTLP-style JSONL summary points")
 
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
-		memProfile = flag.String("memprofile", "", "write an end-of-run heap profile to this file (go tool pprof)")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+		memProfile = fs.String("memprofile", "", "write an end-of-run heap profile to this file (go tool pprof)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 
 	if *validate {
-		runValidate(flag.Args())
+		return runValidate(fs.Args(), stdout, stderr)
 	}
 	if *dumpTopo != "" {
-		runDumpTopology(*dumpTopo)
+		return runDumpTopology(*dumpTopo, stdout)
 	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatalf("starting CPU profile: %v", err)
+			f.Close()
+			return fmt.Errorf("starting CPU profile: %w", err)
 		}
 		defer func() {
 			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				fatalf("closing %s: %v", *cpuProfile, err)
+			if cerr := f.Close(); cerr != nil && err == nil {
+				err = fmt.Errorf("closing %s: %w", *cpuProfile, cerr)
 			}
 		}()
 	}
-	defer func() {
-		if *memProfile == "" {
-			return
-		}
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		runtime.GC() // settle live-heap accounting before the snapshot
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatalf("writing heap profile: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			fatalf("closing %s: %v", *memProfile, err)
-		}
-	}()
+	if *memProfile != "" {
+		defer func() {
+			if err == nil {
+				err = writeHeapProfile(*memProfile)
+			}
+		}()
+	}
 
-	var c experiments.AppCase
-	var regionTopo region.Topology
-	switch {
-	case *topoFile != "":
-		data, err := os.ReadFile(*topoFile)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		f, err := spec.Parse(filepath.Base(*topoFile), data)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		compiled, err := spec.Build(f)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		c = experiments.AppCase{Name: compiled.Spec.Name, Spec: compiled.Spec,
-			Mix: compiled.Mix, TotalRPS: compiled.Rate}
-		regionTopo = compiled.Regions
-	case *specFile != "":
-		data, err := os.ReadFile(*specFile)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		var appSpec services.AppSpec
-		if err := json.Unmarshal(data, &appSpec); err != nil {
-			fatalf("decoding %s: %v", *specFile, err)
-		}
-		if err := appSpec.Validate(); err != nil {
-			fatalf("spec invalid: %v", err)
-		}
-		mix := workload.Mix{}
-		for _, class := range appSpec.EntryClasses() {
-			mix[class] = 1
-		}
-		c = experiments.AppCase{Name: appSpec.Name, Spec: appSpec, Mix: mix, TotalRPS: *baseRPS}
-	default:
-		var ok bool
-		c, ok = experiments.AppCaseByName(*appName)
-		if !ok {
-			fatalf("unknown app %q", *appName)
-		}
+	c, regionTopo, err := loadApp(*topoFile, *appName)
+	if err != nil {
+		return err
 	}
 	c.TotalRPS *= *rpsMult
 
-	opts := experiments.Options{Seed: *seed, Scale: *scale, Parallelism: *parallel, NoFastResolve: *noFast}
+	opts := experiments.Options{Seed: *seed, Scale: *scale, Parallelism: *parallel}
 	if !*quiet {
-		opts.Log = os.Stderr
-	}
-
-	var mgr baselines.Manager
-	switch *system {
-	case "ursa":
-		mgr = opts.NewUrsaManager(c)
-	case "sinan":
-		mgr = opts.NewSinanManager(c)
-	case "firm":
-		mgr = opts.NewFirmManager(c)
-	case "auto-a":
-		mgr = autoscale.New(autoscale.AutoA())
-	case "auto-b":
-		mgr = autoscale.New(autoscale.AutoB())
-	case "none":
-		mgr = nil
-	default:
-		fatalf("unknown system %q", *system)
+		opts.Log = stderr
 	}
 
 	dur := sim.Time(*minutes) * sim.Minute
-	var pattern workload.Pattern
+	sc := experiments.Scenario{App: c, System: *system, Duration: dur, Seed: *seed}
 	switch *load {
 	case "constant":
-		pattern = workload.Constant{Value: c.TotalRPS}
+		sc.Pattern = workload.Constant{Value: c.TotalRPS}
 	case "diurnal":
-		pattern = workload.Diurnal{Base: c.TotalRPS * 0.5, Peak: c.TotalRPS * 1.5, Period: dur}
+		sc.Pattern = workload.Diurnal{Base: c.TotalRPS * 0.5, Peak: c.TotalRPS * 1.5, Period: dur}
 	case "burst":
-		pattern = workload.Modulate{
+		sc.Pattern = workload.Modulate{
 			Base: workload.Constant{Value: c.TotalRPS}, Factor: 2,
 			Start: dur * 2 / 5, Len: dur / 5,
 		}
 	default:
-		fatalf("unknown load %q", *load)
+		return fmt.Errorf("unknown load %q", *load)
 	}
 
-	tc := services.TelemetryConfig{Retention: sim.Time(*retention) * sim.Minute}
+	sc.Telemetry.Retention = sim.Time(*retention) * sim.Minute
 	switch *telemetry {
 	case "exact":
 	case "sketch":
-		tc.SketchAlpha = *sketchAlpha
+		sc.Telemetry.SketchAlpha = *sketchAlpha
 	default:
-		fatalf("unknown telemetry mode %q (want exact|sketch)", *telemetry)
+		return fmt.Errorf("unknown telemetry mode %q (want exact|sketch)", *telemetry)
 	}
 
-	eng := sim.NewEngine(*seed)
-	warm := 2 * sim.Minute
-	var (
-		app           *services.App
-		err           error
-		in            *faults.Injector
-		cl            *cluster.Cluster
-		rm            *region.Map
-		regionEvicted int
-	)
-	switch {
-	case *useRegions:
-		if *failNode != "" {
-			fatalf("-regions is incompatible with -fail-node (use -fail-region)")
-		}
+	failStart := experiments.Warmup + sim.Time(*failAt*float64(sim.Minute))
+	failLen := sim.Time(*failFor * float64(sim.Minute))
+	if *useRegions {
 		if regionTopo.Empty() && c.Name == "social-network" {
 			// The built-in app has no regions: section; use the Fig.R1 layout.
 			regionTopo = experiments.SocialNetworkRegions()
 		}
-		if regionTopo.Empty() {
-			fatalf("-regions: %s declares no regions (add a regions: section to the spec)", c.Name)
-		}
 		regionTopo.Spill = *spill
-		cl = regionTopo.Cluster(cluster.WorstFit)
-		rm, err = region.New(regionTopo, cl)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if *failRegion != "" {
-			known := false
-			for _, g := range regionTopo.Groups {
-				known = known || g.Name == *failRegion
-			}
-			if !known {
-				fatalf("unknown region %q", *failRegion)
-			}
-		}
-	case *failNode != "":
-		// Node faults need real placements to evict: bind to the testbed.
-		cl = cluster.PaperTestbed()
-		if cl.NodeByName(*failNode) == nil {
-			fatalf("unknown node %q (testbed has node-0 … node-7)", *failNode)
-		}
+		sc.Placement, sc.Regions = experiments.Regions, regionTopo
 	}
-	if rm != nil {
-		app, err = services.NewAppTelemetryPlaced(eng, c.Spec, 0, cl, tc, rm)
-	} else {
-		app, err = services.NewAppTelemetry(eng, c.Spec, 0, cl, tc)
-	}
-	if err != nil {
-		fatalf("deploy: %v", err)
-	}
-	if rm != nil {
-		rm.Bind(eng, app)
-		if *failRegion != "" {
-			eng.Schedule(warm+sim.Time(*failAt*float64(sim.Minute)), func() {
-				regionEvicted = rm.FailRegion(*failRegion)
-			})
-			if *failFor > 0 {
-				eng.Schedule(warm+sim.Time((*failAt+*failFor)*float64(sim.Minute)), func() {
-					rm.RecoverRegion(*failRegion)
-				})
-			}
+	if *failNode != "" {
+		if !*useRegions {
+			sc.Placement = experiments.Testbed
 		}
-	} else if cl != nil {
-		in = faults.New(eng, app, cl, faults.Schedule{NodeFails: []faults.NodeFail{{
-			Node: *failNode,
-			At:   warm + sim.Time(*failAt*float64(sim.Minute)),
-			For:  sim.Time(*failFor * float64(sim.Minute)),
-		}}})
-		in.Start()
+		sc.Faults.NodeFails = []faults.NodeFail{{Node: *failNode, At: failStart, For: failLen}}
 	}
-
-	var spanFile *os.File
-	var spanW *trace.SpanWriter
-	if *traceOut != "" {
-		spanFile, err = os.Create(*traceOut)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		tr := trace.NewTracer(*traceSample, 1) // stream, don't retain
-		spanW = trace.NewSpanWriter(spanFile)
-		tr.Exporter = spanW.ExportTrace
-		app.Tracer = tr
+	if *failRegion != "" {
+		sc.RegionFail = experiments.RegionFail{Region: *failRegion, At: failStart, For: failLen}
 	}
 	if *resilience {
-		app.SetResilience(services.ResiliencePolicy{})
+		sc.Resilience = &services.ResiliencePolicy{}
 	} else if *failNode != "" || *failRegion != "" {
-		fmt.Fprintln(os.Stderr, "ursa-sim: warning: node/region failure without -resilience — callers of crashed replicas will hang")
+		fmt.Fprintln(stderr, "ursa-sim: warning: node/region failure without -resilience — callers of crashed replicas will hang")
 	}
-	gen := workload.New(eng, app, pattern, c.Mix)
-	gen.Start()
-	if mgr != nil {
-		mgr.Attach(app)
+
+	var (
+		spanFile *os.File
+		spanW    *trace.SpanWriter
+	)
+	if *traceOut != "" {
+		if spanFile, err = os.Create(*traceOut); err != nil {
+			return err
+		}
+		defer spanFile.Close()
+		sc.Tracer = trace.NewTracer(*traceSample, 1) // stream, don't retain
+		spanW = trace.NewSpanWriter(spanFile)
+		sc.Tracer.Exporter = spanW.ExportTrace
 	}
-	eng.RunUntil(warm)
-	alloc0 := app.AllocIntegralCPUSeconds()
-	eng.RunUntil(warm + dur)
-	alloc1 := app.AllocIntegralCPUSeconds()
-	if mgr != nil {
-		mgr.Detach()
+
+	out, app, err := opts.Run(sc)
+	if err != nil {
+		return err
 	}
 	if spanW != nil {
-		// Close out jobs still in flight (or abandoned by faults) as
-		// incomplete traces so the export captures them too.
-		app.Tracer.FlushOpen(eng.Now())
 		if err := spanW.Flush(); err != nil {
-			fatalf("writing %s: %v", *traceOut, err)
+			return fmt.Errorf("writing %s: %w", *traceOut, err)
 		}
 		if err := spanFile.Close(); err != nil {
-			fatalf("closing %s: %v", *traceOut, err)
+			return fmt.Errorf("closing %s: %w", *traceOut, err)
 		}
 	}
 	if *metricsOut != "" {
-		if err := writeMetrics(*metricsOut, app, c.Spec); err != nil {
-			fatalf("writing %s: %v", *metricsOut, err)
+		if err := writeMetrics(*metricsOut, app); err != nil {
+			return fmt.Errorf("writing %s: %w", *metricsOut, err)
 		}
 	}
 
-	fmt.Printf("\n%s under %s (%s load, %d min):\n\n", c.Name, *system, *load, *minutes)
-	fmt.Printf("%-22s %10s %12s %10s\n", "class", "SLA(ms)", "pXX(ms)", "violated")
+	fmt.Fprintf(stdout, "\n%s under %s (%s load, %d min):\n\n", c.Name, *system, *load, *minutes)
+	fmt.Fprintf(stdout, "%-22s %10s %12s %10s\n", "class", "SLA(ms)", "pXX(ms)", "violated")
 	totalWin, violWin := 0, 0
-	for _, cs := range c.Spec.Classes {
-		rec := app.E2E.Class(cs.Name)
-		if rec == nil {
-			continue
-		}
-		lat := rec.PercentileBetween(warm, warm+dur, cs.SLAPercentile)
-		// Whole windows only: a trailing partial window would skew the
-		// violation denominator (same rule as the experiment harness).
-		tw, vw := 0, 0
-		for w := warm; w+sim.Minute <= warm+dur; w += sim.Minute {
-			if rec.Count(w, w+sim.Minute) == 0 {
-				continue
-			}
-			tw++
-			if rec.PercentileBetween(w, w+sim.Minute, cs.SLAPercentile) > cs.SLAMillis {
-				vw++
-			}
-		}
-		totalWin += tw
-		violWin += vw
-		fmt.Printf("%-22s %10.0f %12.1f %9.1f%%\n", cs.Name, cs.SLAMillis, lat,
-			100*float64(vw)/float64(max(1, tw)))
+	for _, co := range out.Classes {
+		totalWin += co.Windows
+		violWin += co.Violated
+		fmt.Fprintf(stdout, "%-22s %10.0f %12.1f %9.1f%%\n", co.Name, co.SLAMillis, co.Latency,
+			100*float64(co.Violated)/float64(max(1, co.Windows)))
 	}
-	fmt.Printf("\noverall SLA violation rate: %.1f%%\n", 100*float64(violWin)/float64(max(1, totalWin)))
-	fmt.Printf("average CPU allocation:     %.1f cores\n", (alloc1-alloc0)/dur.Seconds())
-	if mgr != nil {
-		fmt.Printf("avg decision latency:       %.3f ms\n", mgr.AvgDecisionMillis())
+	fmt.Fprintf(stdout, "\noverall SLA violation rate: %.1f%%\n", 100*float64(violWin)/float64(max(1, totalWin)))
+	fmt.Fprintf(stdout, "average CPU allocation:     %.1f cores\n", out.AvgCPUs)
+	if *system != "none" {
+		fmt.Fprintf(stdout, "avg decision latency:       %.3f ms\n", out.DecisionMs)
 	}
-	fmt.Printf("jobs injected/completed:    %d/%d\n", app.InjectedJobs, app.CompletedJobs())
-	if *resilience || in != nil || *failRegion != "" {
-		fmt.Printf("jobs failed:                %d (availability %.3f%%)\n", app.FailedJobs(), app.Availability()*100)
+	fmt.Fprintf(stdout, "jobs injected/completed:    %d/%d\n", app.InjectedJobs, app.CompletedJobs())
+	if *resilience || *failNode != "" || *failRegion != "" {
+		fmt.Fprintf(stdout, "jobs failed:                %d (availability %.3f%%)\n", app.FailedJobs(), out.Availability*100)
 	}
 	if *resilience {
-		var retries, errors float64
-		for _, name := range app.ServiceNames() {
-			svc := app.Service(name)
-			retries += svc.RPCRetries.Total(0, warm+dur)
-			errors += svc.RPCErrors.Total(0, warm+dur)
-		}
-		fmt.Printf("rpc errors/retries:         %.0f/%.0f\n", errors, retries)
+		fmt.Fprintf(stdout, "rpc errors/retries:         %.0f/%.0f\n", out.Errors, out.Retries)
 	}
-	if in != nil {
-		fmt.Printf("replicas evicted:           %d (unschedulable events: %d)\n", in.Evicted, app.UnschedulableEvents)
-		fmt.Println("\nfault log:")
-		for _, rec := range in.Records {
-			fmt.Printf("  %-12v %s\n", rec.At, rec.Detail)
+	if *failNode != "" {
+		fmt.Fprintf(stdout, "replicas evicted:           %d (unschedulable events: %d)\n", out.Evicted, out.Unschedulable)
+		fmt.Fprintln(stdout, "\nfault log:")
+		for _, rec := range out.FaultLog {
+			fmt.Fprintf(stdout, "  %-12v %s\n", rec.At, rec.Detail)
 		}
 	}
-	if rm != nil {
-		fmt.Printf("replicas spilled:           %d (WAN hops: %d)\n", rm.Spilled, rm.WANHops)
+	if *useRegions {
+		fmt.Fprintf(stdout, "replicas spilled:           %d (WAN hops: %d)\n", out.Spilled, out.WANHops)
 		if *failRegion != "" {
-			fmt.Printf("replicas evicted:           %d (unschedulable events: %d)\n", regionEvicted, app.UnschedulableEvents)
+			fmt.Fprintf(stdout, "replicas evicted:           %d (unschedulable events: %d)\n", out.Evicted, out.Unschedulable)
 		}
 	}
+	return nil
+}
+
+// loadApp resolves the application to run: a declarative spec file (with any
+// regions: section it declares) or a built-in app by name.
+func loadApp(topoFile, appName string) (experiments.AppCase, region.Topology, error) {
+	if topoFile == "" {
+		c, ok := experiments.AppCaseByName(appName)
+		if !ok {
+			return c, region.Topology{}, fmt.Errorf("unknown app %q", appName)
+		}
+		return c, region.Topology{}, nil
+	}
+	compiled, err := buildSpecFile(topoFile)
+	if err != nil {
+		return experiments.AppCase{}, region.Topology{}, err
+	}
+	return experiments.AppCase{Name: compiled.Spec.Name, Spec: compiled.Spec,
+		Mix: compiled.Mix, TotalRPS: compiled.Rate}, compiled.Regions, nil
+}
+
+// buildSpecFile reads, parses, validates and compiles one spec file.
+func buildSpecFile(path string) (spec.Compiled, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return spec.Compiled{}, err
+	}
+	f, err := spec.Parse(filepath.Base(path), data)
+	if err != nil {
+		return spec.Compiled{}, err
+	}
+	return spec.Build(f)
+}
+
+// writeHeapProfile writes an end-of-run heap profile.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // settle live-heap accounting before the snapshot
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return fmt.Errorf("writing heap profile: %w", err)
+	}
+	return f.Close()
 }
 
 // writeMetrics dumps every retained telemetry window as OTLP-style JSONL
 // summary points: end-to-end latency per class, per-service response time,
 // and per-service arrival counts.
-func writeMetrics(path string, app *services.App, spec services.AppSpec) error {
+func writeMetrics(path string, app *services.App) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -439,37 +348,30 @@ func writeMetrics(path string, app *services.App, spec services.AppSpec) error {
 }
 
 // runValidate parses, validates and compiles each spec file, reporting every
-// failure before exiting; the exit status is non-zero if any file is invalid.
-func runValidate(files []string) {
+// failure; it errors if any file is invalid.
+func runValidate(files []string, stdout, stderr io.Writer) error {
 	if len(files) == 0 {
-		fatalf("-validate: no spec files given")
+		return errors.New("-validate: no spec files given")
 	}
 	bad := 0
 	for _, path := range files {
-		data, err := os.ReadFile(path)
-		if err == nil {
-			var f *spec.File
-			if f, err = spec.Parse(filepath.Base(path), data); err == nil {
-				_, err = spec.Build(f)
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+		if _, err := buildSpecFile(path); err != nil {
+			fmt.Fprintln(stderr, err)
 			bad++
 			continue
 		}
-		fmt.Printf("ok %s\n", path)
+		fmt.Fprintf(stdout, "ok %s\n", path)
 	}
 	if bad > 0 {
-		fatalf("%d of %d spec files invalid", bad, len(files))
+		return fmt.Errorf("%d of %d spec files invalid", bad, len(files))
 	}
-	os.Exit(0)
+	return nil
 }
 
 // runDumpTopology prints the canonical spec of a built-in application or a
 // generated corpus member (name form corpus-s<seed>-<index>, as reported by
-// the figc1 experiment), then exits.
-func runDumpTopology(name string) {
+// the figc1 experiment).
+func runDumpTopology(name string, stdout io.Writer) error {
 	var (
 		appSpec services.AppSpec
 		mix     workload.Mix
@@ -480,32 +382,19 @@ func runDumpTopology(name string) {
 	} else {
 		var seed int64
 		var idx int
-		if n, _ := fmt.Sscanf(name, "corpus-s%d-%d", &seed, &idx); n == 2 {
-			c, _, err := experiments.GenerateCorpusCase(seed, idx)
-			if err != nil {
-				fatalf("generating %s: %v", name, err)
-			}
-			appSpec, mix, rate = c.Spec, c.Mix, c.TotalRPS
-		} else {
-			fatalf("unknown topology %q (want a built-in app or corpus-s<seed>-<n>)", name)
+		if n, _ := fmt.Sscanf(name, "corpus-s%d-%d", &seed, &idx); n != 2 {
+			return fmt.Errorf("unknown topology %q (want a built-in app or corpus-s<seed>-<n>)", name)
 		}
+		c, _, err := experiments.GenerateCorpusCase(seed, idx)
+		if err != nil {
+			return fmt.Errorf("generating %s: %w", name, err)
+		}
+		appSpec, mix, rate = c.Spec, c.Mix, c.TotalRPS
 	}
 	data, err := spec.Dump(appSpec, mix, rate)
 	if err != nil {
-		fatalf("dumping %s: %v", name, err)
+		return fmt.Errorf("dumping %s: %w", name, err)
 	}
-	os.Stdout.Write(data)
-	os.Exit(0)
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "ursa-sim: "+format+"\n", args...)
-	os.Exit(1)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	_, err = stdout.Write(data)
+	return err
 }

@@ -86,16 +86,6 @@ func (n *Node) Group() string {
 	return n.g.name
 }
 
-// GroupNames lists the cluster's node groups in declaration order (nil on
-// ungrouped clusters).
-func (c *Cluster) GroupNames() []string {
-	var names []string
-	for _, g := range c.groups {
-		names = append(names, g.name)
-	}
-	return names
-}
-
 // GroupNodes lists a group's members (callers must not mutate), or nil for an
 // unknown group.
 func (c *Cluster) GroupNodes(name string) []*Node {
@@ -103,14 +93,6 @@ func (c *Cluster) GroupNodes(name string) []*Node {
 		return g.nodes
 	}
 	return nil
-}
-
-// GroupAvailableCapacity sums the capacities of a group's up members.
-func (c *Cluster) GroupAvailableCapacity(name string) float64 {
-	if g := c.groupByName[name]; g != nil {
-		return g.availCap
-	}
-	return 0
 }
 
 // GroupUsed sums allocated CPUs on a group's up members.

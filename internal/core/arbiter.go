@@ -27,11 +27,6 @@ type TenantSpec struct {
 
 	Controller ControllerConfig
 	Anomaly    AnomalyConfig
-
-	// NoFastResolve disables the manager's incremental re-solve fast path
-	// (ReSolveEpsilon = 0), forcing a full model solve on every Optimize —
-	// the -no-fast-resolve escape hatch.
-	NoFastResolve bool
 }
 
 // Tenant is one admitted application: its manager, its deployed app, and the
@@ -94,9 +89,6 @@ func (a *Arbiter) Admit(ts TenantSpec) (*Tenant, error) {
 		return nil, fmt.Errorf("arbiter: duplicate tenant %q", ts.Name)
 	}
 	mgr := NewManager(ts.Spec, ts.Profiles)
-	if ts.NoFastResolve {
-		mgr.ReSolveEpsilon = 0
-	}
 	sol, err := mgr.Optimize(mgr.LoadsFromMix(ts.Mix, ts.TotalRPS))
 	if err != nil {
 		a.AdmissionRejects++

@@ -115,32 +115,6 @@ func TestArbiterRejectsOverCommit(t *testing.T) {
 	}
 }
 
-// TestArbiterNoFastResolve pins the escape hatch end to end: tenants admitted
-// with NoFastResolve run a full solve on every steady-state refresh.
-func TestArbiterNoFastResolve(t *testing.T) {
-	eng := sim.NewEngine(42)
-	cl := cluster.New(cluster.WorstFit, 64, 64)
-	arb := NewArbiter(eng, cl)
-
-	ts := arbiterTenantSpec("tenant-00", t)
-	ts.NoFastResolve = true
-	ten, err := arb.Admit(ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	workload.New(eng, ten.App, workload.Constant{Value: ten.TotalRPS}, ten.Mix).Start()
-	arb.StartRefresh(0)
-	eng.RunUntil(8 * sim.Minute)
-	arb.Stop()
-
-	if ten.Manager.OptimizeCount < 3 {
-		t.Fatalf("OptimizeCount = %d; refresh loop did not run", ten.Manager.OptimizeCount)
-	}
-	if arb.FastShare() != 0 {
-		t.Fatalf("FastShare = %v with NoFastResolve", arb.FastShare())
-	}
-}
-
 // TestArbiterFailNodeFanout drives the fleet crash path: a node failure fans
 // eviction out across tenants, each tenant's manager re-places its lost
 // replicas, and recovery returns the node's capacity to the index.

@@ -67,7 +67,7 @@ func RunAblation(opts Options) AblationResult {
 		if err != nil {
 			panic(err)
 		}
-		mgr := opts.newCoreManager(c.Spec, p)
+		mgr := core.NewManager(c.Spec, p)
 		if err := mgr.Run(app, c.Mix, c.TotalRPS, core.ControllerConfig{}, core.AnomalyConfig{}); err != nil {
 			panic(err)
 		}

@@ -196,6 +196,7 @@ func TestComparisonShapesSocial(t *testing.T) {
 	if !strings.Contains(r.Render(), "Fig.11") {
 		t.Error("render missing header")
 	}
+	assertGolden(t, "testdata/fig11_social_quick.golden", r.Render())
 }
 
 func TestAblationShapes(t *testing.T) {
@@ -248,6 +249,7 @@ func TestCorpusShapes(t *testing.T) {
 	if !strings.Contains(r.Render(), "Fig.C1") {
 		t.Error("render missing header")
 	}
+	assertGolden(t, "testdata/figc1_n3_quick.golden", r.Render())
 	// The JSON artifact is deterministic: same opts, same bytes.
 	r2 := RunCorpus(quick(), CorpusParams{N: 3, Systems: []string{"ursa", "auto-a"}})
 	if string(r.JSON()) != string(r2.JSON()) {

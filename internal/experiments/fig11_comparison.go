@@ -107,9 +107,10 @@ func RunComparison(opts Options, appFilter, systemFilter []string) ComparisonRes
 	cells := make([]ComparisonCell, len(jobs))
 	opts.forEach(len(jobs), func(i int) {
 		j := jobs[i]
-		mgr := opts.newManagerFor(j.c, j.system)
 		opts.logf("fig11: %s / %s / %s", j.c.Name, j.scen.name, j.system)
-		r := opts.runDeployment(j.c, mgr, j.scen.pattern, j.scen.mix, dur)
+		s := opts.scenario(j.c, j.system, dur)
+		s.Pattern, s.Mix = j.scen.pattern, j.scen.mix
+		r := opts.mustRun(s)
 		cells[i] = ComparisonCell{
 			App: j.c.Name, Load: j.scen.name, System: j.system,
 			ViolationRate: r.ViolationRate,

@@ -88,7 +88,7 @@ func (o *Options) deployAndMeasureClass(spec services.AppSpec, profiles map[stri
 	if err != nil {
 		panic(err)
 	}
-	mgr := o.newCoreManager(spec, profiles)
+	mgr := core.NewManager(spec, profiles)
 	if err := mgr.Run(app, c.Mix, c.TotalRPS, core.ControllerConfig{}, core.AnomalyConfig{}); err != nil {
 		panic(err)
 	}

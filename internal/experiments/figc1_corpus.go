@@ -8,7 +8,6 @@ import (
 
 	"ursa/internal/sim"
 	"ursa/internal/spec"
-	"ursa/internal/workload"
 )
 
 // The corpus experiment (Fig. C1 — beyond the paper) asks the
@@ -152,8 +151,7 @@ func runCorpusCell(opts Options, c AppCase, system string, dur sim.Time) (cell C
 			cell.ViolationRate, cell.AvgCPUs, cell.DeployFailed = 1, 0, true
 		}
 	}()
-	mgr := opts.newManagerFor(c, system)
-	r := opts.runDeployment(c, mgr, workload.Constant{Value: c.TotalRPS}, c.Mix, dur)
+	r := opts.mustRun(opts.scenario(c, system, dur))
 	cell.ViolationRate, cell.AvgCPUs = r.ViolationRate, r.AvgCPUs
 	return cell
 }

@@ -4,13 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"ursa/internal/baselines"
-	"ursa/internal/cluster"
 	"ursa/internal/faults"
 	"ursa/internal/services"
 	"ursa/internal/sim"
-	"ursa/internal/stats"
-	"ursa/internal/workload"
 )
 
 // ResilienceCell is one (system, scenario) deployment outcome of the Fig. F1
@@ -19,23 +15,7 @@ import (
 type ResilienceCell struct {
 	System   string
 	Scenario string // "no-fault", "node-fail"
-
-	ViolationRate float64
-	// Availability is completed/(completed+failed) jobs over the whole run.
-	Availability float64
-	// RecoveryMin is how long after the failure the SLA was re-established
-	// (first of two consecutive clean minute windows): 0 for the no-fault
-	// scenario, -1 when the SLA never recovered within the run.
-	RecoveryMin   float64
-	AvgCPUs       float64
-	Retries       float64
-	Errors        float64
-	Evicted       int
-	Unschedulable int
-	// Backlog is jobs injected but neither completed nor failed when the run
-	// ends — a wedged service (e.g. an entry tier no one restores) shows up
-	// here even though its empty latency windows can't violate any SLA.
-	Backlog int
+	Outcome
 }
 
 // ResilienceResult reproduces Fig. F1 — the chaos/recovery study, an axis the
@@ -72,8 +52,7 @@ func resiliencePolicy() services.ResiliencePolicy {
 func RunResilience(opts Options) ResilienceResult {
 	opts.defaults()
 	dur := opts.scaleTime(30*sim.Minute, 10*sim.Minute)
-	warm := 2 * sim.Minute
-	failAt := warm + dur/3
+	failAt := Warmup + dur/3
 	failFor := dur / 4
 
 	c, _ := AppCaseByName("social-network")
@@ -86,105 +65,19 @@ func RunResilience(opts Options) ResilienceResult {
 		}
 	}
 
+	policy := resiliencePolicy()
 	cells := make([]ResilienceCell, len(jobs))
 	opts.forEach(len(jobs), func(i int) {
 		j := jobs[i]
-		mgr := opts.newManagerFor(c, j.system)
 		opts.logf("figf1: %s / %s", j.system, j.scen)
-		var sched faults.Schedule
+		s := opts.scenario(c, j.system, dur)
+		s.Placement, s.Resilience = Testbed, &policy
 		if j.scen == "node-fail" {
-			sched.NodeFails = []faults.NodeFail{{Node: "node-7", At: failAt, For: failFor}}
+			s.Faults.NodeFails = []faults.NodeFail{{Node: "node-7", At: failAt, For: failFor}}
 		}
-		cells[i] = opts.runResilient(c, mgr, sched, warm, dur, failAt)
-		cells[i].System, cells[i].Scenario = j.system, j.scen
+		cells[i] = ResilienceCell{System: j.system, Scenario: j.scen, Outcome: opts.mustRun(s)}
 	})
 	return ResilienceResult{Cells: cells, FailAt: failAt, FailFor: failFor}
-}
-
-// runResilient is runDeployment's fault-injecting sibling: the app is bound
-// to the paper testbed (node failures need real placements to evict), a
-// retry policy protects every RPC edge, and the injector arms the schedule
-// before load starts.
-func (o *Options) runResilient(c AppCase, mgr baselines.Manager, sched faults.Schedule, warm, dur sim.Time, failAt sim.Time) ResilienceCell {
-	eng := sim.NewEngine(o.Seed + 1000)
-	cl := cluster.PaperTestbed()
-	app, err := services.NewAppOnCluster(eng, c.Spec, cl)
-	if err != nil {
-		panic(err)
-	}
-	app.SetResilience(resiliencePolicy())
-	in := faults.New(eng, app, cl, sched)
-	in.Start()
-	gen := workload.New(eng, app, workload.Constant{Value: c.TotalRPS}, c.Mix)
-	gen.Start()
-	mgr.Attach(app)
-
-	eng.RunUntil(warm)
-	allocStart := app.AllocIntegralCPUSeconds()
-	end := warm + dur
-	eng.RunUntil(end)
-	allocEnd := app.AllocIntegralCPUSeconds()
-	mgr.Detach()
-
-	var retries, errors float64
-	for _, name := range app.ServiceNames() {
-		svc := app.Service(name)
-		retries += svc.RPCRetries.Total(0, end)
-		errors += svc.RPCErrors.Total(0, end)
-	}
-	cell := ResilienceCell{
-		ViolationRate: violationRate(app, c.Spec, warm, end),
-		Availability:  app.Availability(),
-		AvgCPUs:       (allocEnd - allocStart) / dur.Seconds(),
-		Retries:       retries,
-		Errors:        errors,
-		Evicted:       in.Evicted,
-		Unschedulable: app.UnschedulableEvents,
-		Backlog:       app.InjectedJobs - app.CompletedJobs() - app.FailedJobs(),
-	}
-	if !sched.Empty() {
-		cell.RecoveryMin = recoveryMinutes(app, c.Spec, failAt, end)
-	}
-	return cell
-}
-
-// recoveryMinutes measures the time from the failure until the SLA is
-// re-established: the start of the first of two consecutive minute-aligned
-// windows in which every class with samples meets its SLA (two in a row so a
-// single lucky window during the outage does not count as recovery). Returns
-// -1 when no such pair exists before the run ends.
-func recoveryMinutes(app *services.App, spec services.AppSpec, failAt, end sim.Time) float64 {
-	start := failAt - failAt%sim.Minute
-	if start < failAt {
-		start += sim.Minute
-	}
-	clean := 0
-	for w := start; w+sim.Minute <= end; w += sim.Minute {
-		ok, any := true, false
-		for _, cs := range spec.Classes {
-			rec := app.E2E.Class(cs.Name)
-			if rec == nil {
-				continue
-			}
-			vals := rec.Between(w, w+sim.Minute)
-			if len(vals) == 0 {
-				continue
-			}
-			any = true
-			if stats.Percentile(vals, cs.SLAPercentile) > cs.SLAMillis {
-				ok = false
-			}
-		}
-		if ok && any {
-			clean++
-			if clean == 2 {
-				return (w - sim.Minute - failAt).Seconds() / 60
-			}
-		} else {
-			clean = 0
-		}
-	}
-	return -1
 }
 
 // Cell finds a specific result.

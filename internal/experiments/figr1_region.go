@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"ursa/internal/baselines"
-	"ursa/internal/cluster"
 	"ursa/internal/region"
 	"ursa/internal/sim"
-	"ursa/internal/workload"
 )
 
 // RegionCell is one (system, scenario) outcome of the Fig. R1 region-failover
@@ -17,23 +14,7 @@ import (
 type RegionCell struct {
 	System   string
 	Scenario string // "no-fault", "region-fail"
-
-	ViolationRate float64
-	Availability  float64
-	// RecoveryMin is minutes from the region failure until the SLA was
-	// re-established (first of two consecutive clean minute windows); 0 for
-	// the no-fault scenario, -1 when the SLA never recovered within the run.
-	RecoveryMin   float64
-	AvgCPUs       float64
-	Retries       float64
-	Errors        float64
-	Evicted       int
-	Unschedulable int
-	// Spilled counts replicas placed outside their home region; WANHops
-	// counts cross-region RPC deliveries that paid WAN latency.
-	Spilled int
-	WANHops int
-	Backlog int
+	Outcome
 }
 
 // RegionFailoverResult is the full Fig. R1 output.
@@ -98,10 +79,10 @@ func SocialNetworkRegions() region.Topology {
 func RunRegionFailover(opts Options) RegionFailoverResult {
 	opts.defaults()
 	dur := opts.scaleTime(30*sim.Minute, 10*sim.Minute)
-	warm := 2 * sim.Minute
-	failAt := warm + dur/3
+	failAt := Warmup + dur/3
 	failFor := dur / 4
 	const failed = "eu-west"
+	policy := resiliencePolicy()
 
 	c, _ := AppCaseByName("social-network")
 	scenarios := []string{"no-fault", "region-fail"}
@@ -116,65 +97,17 @@ func RunRegionFailover(opts Options) RegionFailoverResult {
 	cells := make([]RegionCell, len(jobs))
 	opts.forEach(len(jobs), func(i int) {
 		j := jobs[i]
-		mgr := opts.newManagerFor(c, j.system)
 		opts.logf("figr1: %s / %s", j.system, j.scen)
-		cells[i] = opts.runRegionCell(c, mgr, j.system == "ursa", j.scen == "region-fail",
-			failed, warm, dur, failAt, failFor)
-		cells[i].System, cells[i].Scenario = j.system, j.scen
+		s := opts.scenario(c, j.system, dur)
+		s.Placement, s.Resilience = Regions, &policy
+		s.Regions = SocialNetworkRegions()
+		s.Regions.Spill = j.system == "ursa"
+		if j.scen == "region-fail" {
+			s.RegionFail = RegionFail{Region: failed, At: failAt, For: failFor}
+		}
+		cells[i] = RegionCell{System: j.system, Scenario: j.scen, Outcome: opts.mustRun(s)}
 	})
 	return RegionFailoverResult{Cells: cells, Region: failed, FailAt: failAt, FailFor: failFor}
-}
-
-// runRegionCell is runResilient's geo sibling: the app deploys through
-// region.Deploy (placement pinned from the first replica), the WAN injector
-// delays cross-region RPC, and the outage is driven by FailRegion — every
-// node of the region at once — instead of a single faults.NodeFail.
-func (o *Options) runRegionCell(c AppCase, mgr baselines.Manager, spill, fail bool,
-	failed string, warm, dur, failAt, failFor sim.Time) RegionCell {
-	eng := sim.NewEngine(o.Seed + 1000)
-	app, m, err := region.Deploy(eng, c.Spec, SocialNetworkRegions(), cluster.WorstFit, spill)
-	if err != nil {
-		panic(err)
-	}
-	app.SetResilience(resiliencePolicy())
-	evicted := 0
-	if fail {
-		eng.Schedule(failAt, func() { evicted = m.FailRegion(failed) })
-		eng.Schedule(failAt+failFor, func() { m.RecoverRegion(failed) })
-	}
-	gen := workload.New(eng, app, workload.Constant{Value: c.TotalRPS}, c.Mix)
-	gen.Start()
-	mgr.Attach(app)
-
-	eng.RunUntil(warm)
-	allocStart := app.AllocIntegralCPUSeconds()
-	end := warm + dur
-	eng.RunUntil(end)
-	allocEnd := app.AllocIntegralCPUSeconds()
-	mgr.Detach()
-
-	var retries, errors float64
-	for _, name := range app.ServiceNames() {
-		svc := app.Service(name)
-		retries += svc.RPCRetries.Total(0, end)
-		errors += svc.RPCErrors.Total(0, end)
-	}
-	cell := RegionCell{
-		ViolationRate: violationRate(app, c.Spec, warm, end),
-		Availability:  app.Availability(),
-		AvgCPUs:       (allocEnd - allocStart) / dur.Seconds(),
-		Retries:       retries,
-		Errors:        errors,
-		Evicted:       evicted,
-		Unschedulable: app.UnschedulableEvents,
-		Spilled:       m.Spilled,
-		WANHops:       m.WANHops,
-		Backlog:       app.InjectedJobs - app.CompletedJobs() - app.FailedJobs(),
-	}
-	if fail {
-		cell.RecoveryMin = recoveryMinutes(app, c.Spec, failAt, end)
-	}
-	return cell
 }
 
 // Cell finds a specific result.

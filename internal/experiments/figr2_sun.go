@@ -6,6 +6,7 @@ import (
 
 	"ursa/internal/baselines"
 	"ursa/internal/cluster"
+	"ursa/internal/core"
 	"ursa/internal/region"
 	"ursa/internal/services"
 	"ursa/internal/sim"
@@ -122,9 +123,12 @@ func (o *Options) runSunSystem(c AppCase, system string, dur sim.Time) []SunCell
 			// Share the one cached exploration across tenants: the profiles
 			// depend on the spec's services, not the tenant name.
 			_, profiles, _ := o.ursaProfiles(c)
-			mgr = &ursaAdapter{mgr: o.newCoreManager(spec, profiles), mix: c.Mix, totalRPS: c.TotalRPS}
+			mgr = &ursaAdapter{mgr: core.NewManager(spec, profiles), mix: c.Mix, totalRPS: c.TotalRPS}
 		} else {
-			mgr = o.newManagerFor(c, system)
+			var err error
+			if mgr, err = o.NewManager(c, system); err != nil {
+				panic(err)
+			}
 		}
 		pattern := workload.Shift{
 			Inner:  workload.Diurnal{Base: c.TotalRPS * 0.5, Peak: c.TotalRPS * 1.5, Period: dur},

@@ -38,9 +38,6 @@ type ScalingParams struct {
 	FixedNodes int
 	// FixedTenants is the tenant count of the node sweep (default 8).
 	FixedTenants int
-	// NoFastResolve disables the managers' incremental re-solve fast path
-	// (the -no-fast-resolve escape hatch).
-	NoFastResolve bool
 }
 
 func (p *ScalingParams) defaults() {
@@ -86,13 +83,12 @@ type ScalingCell struct {
 // ScalingResult is the full Fig. S1 output, JSON-serializable for
 // BENCH_placement.json.
 type ScalingResult struct {
-	Seed          int64         `json:"seed"`
-	Scale         float64       `json:"scale"`
-	NoFastResolve bool          `json:"no_fast_resolve,omitempty"`
-	FixedNodes    int           `json:"fixed_nodes"`
-	FixedTenants  int           `json:"fixed_tenants"`
-	NodeSweep     []ScalingCell `json:"node_sweep"`
-	TenantSweep   []ScalingCell `json:"tenant_sweep"`
+	Seed         int64         `json:"seed"`
+	Scale        float64       `json:"scale"`
+	FixedNodes   int           `json:"fixed_nodes"`
+	FixedTenants int           `json:"fixed_tenants"`
+	NodeSweep    []ScalingCell `json:"node_sweep"`
+	TenantSweep  []ScalingCell `json:"tenant_sweep"`
 }
 
 // GenerateFleetCase builds tenant i of the experiment fleet for the given
@@ -140,7 +136,7 @@ func placeCycleNs(n int, seed int64, linear bool, iters int) float64 {
 
 // runScalingCell deploys a tenant fleet on a synthetic cluster behind one
 // arbiter and drives it under each tenant's nominal load.
-func runScalingCell(opts Options, nodes, tenants int, dur sim.Time, noFast bool) ScalingCell {
+func runScalingCell(opts Options, nodes, tenants int, dur sim.Time) ScalingCell {
 	cell := ScalingCell{Nodes: nodes, Tenants: tenants}
 
 	eng := sim.NewEngine(opts.Seed + 2000)
@@ -162,12 +158,11 @@ func runScalingCell(opts Options, nodes, tenants int, dur sim.Time, noFast bool)
 		}
 		_, profiles, _ := opts.ursaProfiles(c)
 		return arb.Admit(core.TenantSpec{
-			Name:          c.Name,
-			Spec:          c.Spec,
-			Profiles:      profiles,
-			Mix:           c.Mix,
-			TotalRPS:      c.TotalRPS,
-			NoFastResolve: noFast,
+			Name:     c.Name,
+			Spec:     c.Spec,
+			Profiles: profiles,
+			Mix:      c.Mix,
+			TotalRPS: c.TotalRPS,
 		})
 	}
 	admitted := make([]*core.Tenant, 0, tenants)
@@ -213,15 +208,11 @@ func runScalingCell(opts Options, nodes, tenants int, dur sim.Time, noFast bool)
 func RunScaling(opts Options, params ScalingParams) ScalingResult {
 	opts.defaults()
 	params.defaults()
-	if opts.NoFastResolve {
-		params.NoFastResolve = true
-	}
 	res := ScalingResult{
-		Seed:          opts.Seed,
-		Scale:         opts.Scale,
-		NoFastResolve: params.NoFastResolve,
-		FixedNodes:    params.FixedNodes,
-		FixedTenants:  params.FixedTenants,
+		Seed:         opts.Seed,
+		Scale:        opts.Scale,
+		FixedNodes:   params.FixedNodes,
+		FixedTenants: params.FixedTenants,
 	}
 
 	dur := opts.scaleTime(10*sim.Minute, 4*sim.Minute)
@@ -236,7 +227,7 @@ func RunScaling(opts Options, params ScalingParams) ScalingResult {
 	cells := make([]ScalingCell, len(jobs))
 	opts.forEach(len(jobs), func(i int) {
 		opts.logf("figs1: nodes=%d tenants=%d", jobs[i].nodes, jobs[i].tenants)
-		cells[i] = runScalingCell(opts, jobs[i].nodes, jobs[i].tenants, dur, params.NoFastResolve)
+		cells[i] = runScalingCell(opts, jobs[i].nodes, jobs[i].tenants, dur)
 	})
 	res.NodeSweep = cells[:len(params.Nodes)]
 	res.TenantSweep = cells[len(params.Nodes):]
@@ -255,11 +246,8 @@ func (r ScalingResult) JSON() []byte {
 // Render prints the Fig. S1 scaling tables.
 func (r ScalingResult) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Fig.S1 — fleet scaling curve (seed %d, scale %.2f", r.Seed, r.Scale)
-	if r.NoFastResolve {
-		b.WriteString(", fast resolve off")
-	}
-	b.WriteString(")\nplace-ns and decision-ms are wall-clock; simulated metrics are deterministic\n")
+	fmt.Fprintf(&b, "Fig.S1 — fleet scaling curve (seed %d, scale %.2f)\n", r.Seed, r.Scale)
+	b.WriteString("place-ns and decision-ms are wall-clock; simulated metrics are deterministic\n")
 
 	table := func(title, key string, cells []ScalingCell, label func(ScalingCell) int) {
 		fmt.Fprintf(&b, "\n%s\n", title)

@@ -42,11 +42,6 @@ type Options struct {
 	// sequential execution. Results are merged in a canonical order, so any
 	// setting produces byte-identical rendered output.
 	Parallelism int
-	// NoFastResolve disables the managers' incremental re-solve fast path
-	// (ReSolveEpsilon = 0), forcing a full model solve on every Optimize —
-	// the -no-fast-resolve escape hatch, and the way to reproduce outputs
-	// from before the fast path became the default.
-	NoFastResolve bool
 }
 
 func (o *Options) defaults() {
@@ -247,18 +242,7 @@ var _ baselines.Manager = (*ursaAdapter)(nil)
 // newUrsa prepares Ursa (exploration + model) for a case.
 func (o *Options) newUrsa(c AppCase) *ursaAdapter {
 	_, profiles, _ := o.ursaProfiles(c)
-	mgr := o.newCoreManager(c.Spec, profiles)
-	return &ursaAdapter{mgr: mgr, mix: c.Mix, totalRPS: c.TotalRPS}
-}
-
-// newCoreManager builds an Ursa manager with the harness-level fast-path
-// setting applied; every experiment constructs its managers through this.
-func (o *Options) newCoreManager(spec services.AppSpec, profiles map[string]*core.Profile) *core.Manager {
-	mgr := core.NewManager(spec, profiles)
-	if o.NoFastResolve {
-		mgr.ReSolveEpsilon = 0
-	}
-	return mgr
+	return &ursaAdapter{mgr: core.NewManager(c.Spec, profiles), mix: c.Mix, totalRPS: c.TotalRPS}
 }
 
 // newSinan hands out a fresh clone of the trained Sinan prototype for a
@@ -301,26 +285,29 @@ func (o *Options) newFirm(c AppCase) *firm.Firm {
 	return proto.Clone()
 }
 
-// newManagerFor constructs a fresh, never-before-attached manager for one
-// deployment cell. Expensive preparation (exploration, ML training) is
-// cached per app and deduplicated; the returned manager is always pristine,
-// so cells can run in any order — or concurrently — with identical results.
-// Because construction is lazy, systems excluded by a filter are never
-// prepared at all.
-func (o *Options) newManagerFor(c AppCase, system string) baselines.Manager {
+// NewManager constructs a fresh, never-before-attached manager for one
+// deployment: ursa, sinan, firm, auto-a, auto-b, or nil for none. Expensive
+// preparation (exploration, ML training) is cached per app and deduplicated;
+// the returned manager is always pristine, so cells can run in any order —
+// or concurrently — with identical results. Because construction is lazy,
+// systems excluded by a filter are never prepared at all.
+func (o *Options) NewManager(c AppCase, system string) (baselines.Manager, error) {
+	o.defaults()
 	switch system {
 	case "ursa":
-		return o.newUrsa(c)
+		return o.newUrsa(c), nil
 	case "sinan":
-		return o.newSinan(c)
+		return o.newSinan(c), nil
 	case "firm":
-		return o.newFirm(c)
+		return o.newFirm(c), nil
 	case "auto-a":
-		return autoscaleA()
+		return autoscale.New(autoscale.AutoA()), nil
 	case "auto-b":
-		return autoscaleB()
+		return autoscale.New(autoscale.AutoB()), nil
+	case "none":
+		return nil, nil
 	}
-	panic(fmt.Sprintf("experiments: unknown system %q", system))
+	return nil, fmt.Errorf("unknown system %q (want ursa|sinan|firm|auto-a|auto-b|none)", system)
 }
 
 // UrsaProfiles exposes the exploration pipeline (profiling + Algorithm 1)
@@ -330,28 +317,6 @@ func (o *Options) UrsaProfiles(c AppCase) (*core.Explorer, map[string]*core.Prof
 	return o.ursaProfiles(c)
 }
 
-// NewUrsaManager prepares Ursa (profiling + exploration + model) for a case.
-func (o *Options) NewUrsaManager(c AppCase) baselines.Manager {
-	o.defaults()
-	return o.newUrsa(c)
-}
-
-// NewSinanManager collects data and trains Sinan for a case.
-func (o *Options) NewSinanManager(c AppCase) baselines.Manager {
-	o.defaults()
-	return o.newSinan(c)
-}
-
-// NewFirmManager pretrains Firm for a case.
-func (o *Options) NewFirmManager(c AppCase) baselines.Manager {
-	o.defaults()
-	return o.newFirm(c)
-}
-
-// autoscaleA and autoscaleB build the two autoscaling baselines.
-func autoscaleA() baselines.Manager { return autoscale.New(autoscale.AutoA()) }
-func autoscaleB() baselines.Manager { return autoscale.New(autoscale.AutoB()) }
-
 func specServiceNames(spec services.AppSpec) []string {
 	out := make([]string, 0, len(spec.Services))
 	for _, s := range spec.Services {
@@ -359,66 +324,4 @@ func specServiceNames(spec services.AppSpec) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// deployResult is the outcome of one managed deployment run.
-type deployResult struct {
-	ViolationRate float64
-	AvgCPUs       float64
-	DecisionMs    float64
-}
-
-// runDeployment attaches a manager to a fresh app, drives the load pattern
-// for the given duration, and measures the §VII-E metrics: per-window SLA
-// violation rate and average allocated CPUs.
-func (o *Options) runDeployment(c AppCase, mgr baselines.Manager, pattern workload.Pattern, mix workload.Mix, dur sim.Time) deployResult {
-	eng := sim.NewEngine(o.Seed + 1000)
-	app, err := services.NewApp(eng, c.Spec)
-	if err != nil {
-		panic(err)
-	}
-	gen := workload.New(eng, app, pattern, mix)
-	gen.Start()
-	mgr.Attach(app)
-
-	warm := 2 * sim.Minute
-	eng.RunUntil(warm)
-	allocStart := app.AllocIntegralCPUSeconds()
-	eng.RunUntil(warm + dur)
-	allocEnd := app.AllocIntegralCPUSeconds()
-	mgr.Detach()
-
-	return deployResult{
-		ViolationRate: violationRate(app, c.Spec, warm, warm+dur),
-		AvgCPUs:       (allocEnd - allocStart) / dur.Seconds(),
-		DecisionMs:    mgr.AvgDecisionMillis(),
-	}
-}
-
-// violationRate computes the per-(class, window) violation fraction over
-// whole one-minute windows. A trailing partial window (when the scaled
-// duration is not minute-aligned) is dropped rather than counted: its
-// percentile rests on a fraction of a window's samples, which would skew the
-// denominator at small Scale.
-func violationRate(app *services.App, spec services.AppSpec, from, to sim.Time) float64 {
-	total, violated := 0, 0
-	for _, cs := range spec.Classes {
-		rec := app.E2E.Class(cs.Name)
-		if rec == nil {
-			continue
-		}
-		for w := from; w+sim.Minute <= to; w += sim.Minute {
-			if rec.Count(w, w+sim.Minute) == 0 {
-				continue
-			}
-			total++
-			if rec.PercentileBetween(w, w+sim.Minute, cs.SLAPercentile) > cs.SLAMillis {
-				violated++
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(violated) / float64(total)
 }

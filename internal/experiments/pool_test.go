@@ -169,9 +169,9 @@ func TestComparisonFilterSkipsTraining(t *testing.T) {
 	}
 
 	// Drive the lazy construction path directly: only auto-a is requested.
-	mgr := opts.newManagerFor(c, "auto-a")
-	if mgr == nil || mgr.Name() != "auto-a" {
-		t.Fatalf("newManagerFor returned %v", mgr)
+	mgr, err := opts.NewManager(c, "auto-a")
+	if err != nil || mgr == nil || mgr.Name() != "auto-a" {
+		t.Fatalf("NewManager returned %v, %v", mgr, err)
 	}
 	protoMu.Lock()
 	defer protoMu.Unlock()
@@ -191,10 +191,13 @@ func TestFreshManagersPerCell(t *testing.T) {
 	opts := Options{Seed: 1, Scale: 0.25}
 	opts.defaults()
 	for _, sys := range []string{"ursa", "auto-a", "auto-b"} {
-		a := opts.newManagerFor(c, sys)
-		b := opts.newManagerFor(c, sys)
+		a, errA := opts.NewManager(c, sys)
+		b, errB := opts.NewManager(c, sys)
+		if errA != nil || errB != nil {
+			t.Fatalf("%s: %v / %v", sys, errA, errB)
+		}
 		if a == b {
-			t.Errorf("%s: newManagerFor returned the same instance twice", sys)
+			t.Errorf("%s: NewManager returned the same instance twice", sys)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"ursa/internal/baselines/autoscale"
 	"ursa/internal/baselines/firm"
 	"ursa/internal/core"
 	"ursa/internal/mip"
@@ -46,7 +47,7 @@ func RunControlPlane(opts Options) ControlPlaneResult {
 		"ursa":   ursa,
 		"sinan":  opts.newSinan(c),
 		"firm":   opts.newFirm(c),
-		"auto-a": autoscaleA(),
+		"auto-a": autoscale.New(autoscale.AutoA()),
 	}
 	for _, name := range []string{"ursa", "sinan", "firm", "auto-a"} {
 		opts.logf("tab6: measuring %s deployment decisions", name)

@@ -7,11 +7,11 @@
 // correlated all-nodes-at-once failure mode that distinguishes a region
 // outage from the single-node faults of internal/faults.
 //
-// Determinism contract (the same one internal/faults keeps): installing an
-// empty Topology is a no-op — no Placer, no net hook, no RNG stream — so a
-// zero-region run is byte-identical to a build without this package. A
-// non-empty topology draws WAN jitter from the dedicated "region/wan" stream
-// and leaves every other stream untouched.
+// Determinism contract (the same one internal/faults keeps): New rejects an
+// empty Topology, so a zero-region run builds no Map — no Placer, no net
+// hook, no RNG stream — and is byte-identical to a build without this
+// package. A non-empty topology draws WAN jitter from the dedicated
+// "region/wan" stream and leaves every other stream untouched.
 //
 // WAN semantics: cross-region delay applies to nested- and event-RPC edges
 // (the delivery paths that consult services.NetInjector); MQ deliveries are
@@ -20,7 +20,7 @@
 // foreign region keeps its service's home coordinates, a deliberate
 // approximation that keeps the edge latency a pure function of the service
 // pair. An inner injector (e.g. internal/faults net rules) chains behind the
-// WAN hook: its delay adds, its drops drop. Install the region map after
+// WAN hook: its delay adds, its drops drop. Bind the region map after
 // faults.Start so the chain composes.
 package region
 
@@ -107,8 +107,8 @@ type Map struct {
 // map's placement state — home bindings, spill order, WAN table — without
 // touching any app. The returned Map can serve PlaceReplica immediately, so
 // it can be handed to services.NewAppOnClusterPlaced and then completed with
-// Bind once the app exists. New rejects an empty topology; callers wanting
-// the install-nothing behaviour use Install.
+// Bind once the app exists. New rejects an empty topology: a zero-region
+// deployment simply has no Map.
 func New(topo Topology, cl *cluster.Cluster) (*Map, error) {
 	if topo.Empty() {
 		return nil, fmt.Errorf("region: empty topology")
@@ -183,57 +183,6 @@ func (m *Map) Bind(eng *sim.Engine, app *services.App) {
 	m.inner = app.Net
 	app.Net = m
 	app.Placer = m
-}
-
-// Install wires the topology into an already-deployed app: New + Bind.
-// Installing an empty topology is a no-op and returns (nil, nil) — the
-// zero-region world stays byte-identical to a build without this package.
-// Replicas placed before Install keep their nodes; use Deploy (or
-// NewAppOnClusterPlaced + New/Bind) when deployment-time replicas must pin
-// too.
-func Install(eng *sim.Engine, app *services.App, topo Topology) (*Map, error) {
-	if topo.Empty() {
-		return nil, nil
-	}
-	if app.Cluster == nil {
-		return nil, fmt.Errorf("region: app %q has no bound cluster", app.Spec.Name)
-	}
-	m, err := New(topo, app.Cluster)
-	if err != nil {
-		return nil, err
-	}
-	m.Bind(eng, app)
-	return m, nil
-}
-
-// Deploy builds the grouped cluster for the topology, deploys the app with
-// region-pinned placement from the very first replica, and wires the WAN
-// injector. spill enables cross-region overflow placement.
-func Deploy(eng *sim.Engine, spec services.AppSpec, topo Topology, strategy cluster.Strategy, spill bool) (*services.App, *Map, error) {
-	if topo.Empty() {
-		return nil, nil, fmt.Errorf("region: empty topology (deploy with services.NewAppOnCluster instead)")
-	}
-	topo.Spill = spill
-	cl := topo.Cluster(strategy)
-	m, err := New(topo, cl)
-	if err != nil {
-		return nil, nil, err
-	}
-	app, err := services.NewAppOnClusterPlaced(eng, spec, cl, m)
-	if err != nil {
-		return nil, nil, err
-	}
-	m.Bind(eng, app)
-	return app, m, nil
-}
-
-// MustInstall is Install, panicking on topology errors.
-func MustInstall(eng *sim.Engine, app *services.App, topo Topology) *Map {
-	m, err := Install(eng, app, topo)
-	if err != nil {
-		panic(err)
-	}
-	return m
 }
 
 // link resolves the WAN edge between two regions: forward, reverse, default.

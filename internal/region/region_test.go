@@ -52,24 +52,35 @@ func twoRegionTopo() Topology {
 	}
 }
 
-func TestInstallEmptyTopologyIsNoOp(t *testing.T) {
-	eng := sim.NewEngine(1)
-	app := services.MustNewApp(eng, geoSpec())
-	m, err := Install(eng, app, Topology{})
+// deploy builds the topology's grouped cluster, deploys the app with
+// region-pinned placement from its first replica, and binds the WAN hook —
+// the wiring experiments.Options.Run does for a Regions placement.
+func deploy(eng *sim.Engine, spec services.AppSpec, topo Topology, strategy cluster.Strategy, spill bool) (*services.App, *Map, error) {
+	topo.Spill = spill
+	cl := topo.Cluster(strategy)
+	m, err := New(topo, cl)
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
-	if m != nil {
-		t.Fatal("empty topology returned a live map")
+	app, err := services.NewAppOnClusterPlaced(eng, spec, cl, m)
+	if err != nil {
+		return nil, nil, err
 	}
-	if app.Net != nil || app.Placer != nil {
-		t.Fatal("empty topology installed hooks")
+	m.Bind(eng, app)
+	return app, m, nil
+}
+
+// TestNewRejectsEmptyTopology: a zero-region run never builds a Map, so it
+// installs no placer, no net hook and no RNG stream.
+func TestNewRejectsEmptyTopology(t *testing.T) {
+	if _, err := New(Topology{}, cluster.New(cluster.BestFit, 8)); err == nil {
+		t.Fatal("empty topology accepted")
 	}
 }
 
 func TestDeployPinsInitialReplicasToHomeRegions(t *testing.T) {
 	eng := sim.NewEngine(1)
-	app, m, err := Deploy(eng, geoSpec(), twoRegionTopo(), cluster.BestFit, false)
+	app, m, err := deploy(eng, geoSpec(), twoRegionTopo(), cluster.BestFit, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +103,7 @@ func TestUnboundServiceDefaultsToFirstRegion(t *testing.T) {
 	topo := twoRegionTopo()
 	delete(topo.Bindings, "backend")
 	eng := sim.NewEngine(1)
-	app, _, err := Deploy(eng, geoSpec(), topo, cluster.BestFit, false)
+	app, _, err := deploy(eng, geoSpec(), topo, cluster.BestFit, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +128,7 @@ func TestSpillOverflowsNearestRegionOnly(t *testing.T) {
 	eng := sim.NewEngine(1)
 	// frontend (4 CPUs) fills us; backend (1 CPU) must spill to eu, the
 	// nearest foreign region — not ap, which is declared earlier.
-	app, m, err := Deploy(eng, geoSpec(), topo, cluster.BestFit, true)
+	app, m, err := deploy(eng, geoSpec(), topo, cluster.BestFit, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +152,7 @@ func TestPinnedModeRefusesSpill(t *testing.T) {
 		Bindings: map[string]string{"frontend": "us", "backend": "us"},
 	}
 	eng := sim.NewEngine(1)
-	app, m, err := Deploy(eng, geoSpec(), topo, cluster.BestFit, false)
+	app, m, err := deploy(eng, geoSpec(), topo, cluster.BestFit, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +169,7 @@ func TestPinnedModeRefusesSpill(t *testing.T) {
 
 func TestCrossRegionRPCGainsWANLatency(t *testing.T) {
 	eng := sim.NewEngine(1)
-	app, m, err := Deploy(eng, geoSpec(), twoRegionTopo(), cluster.BestFit, false)
+	app, m, err := deploy(eng, geoSpec(), twoRegionTopo(), cluster.BestFit, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +193,7 @@ func TestIntraRegionRPCStaysUndelayed(t *testing.T) {
 	topo := twoRegionTopo()
 	topo.Bindings["backend"] = "us-east"
 	eng := sim.NewEngine(1)
-	app, m, err := Deploy(eng, geoSpec(), topo, cluster.BestFit, false)
+	app, m, err := deploy(eng, geoSpec(), topo, cluster.BestFit, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +213,7 @@ func TestWANJitterIsSeedDeterministic(t *testing.T) {
 		topo := twoRegionTopo()
 		topo.Links[0].JitterMs = 20
 		eng := sim.NewEngine(seed)
-		app, _, err := Deploy(eng, geoSpec(), topo, cluster.BestFit, false)
+		app, _, err := deploy(eng, geoSpec(), topo, cluster.BestFit, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +236,7 @@ func TestWANJitterIsSeedDeterministic(t *testing.T) {
 
 func TestFailRegionEvictsAndRecoverReopens(t *testing.T) {
 	eng := sim.NewEngine(1)
-	app, m, err := Deploy(eng, geoSpec(), twoRegionTopo(), cluster.BestFit, true)
+	app, m, err := deploy(eng, geoSpec(), twoRegionTopo(), cluster.BestFit, true)
 	if err != nil {
 		t.Fatal(err)
 	}

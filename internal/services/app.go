@@ -54,10 +54,9 @@ type App struct {
 	completedJobs int
 	failedJobs    int
 
-	res     *ResiliencePolicy
-	resRNG  *rand.Rand
-	errRNG  *rand.Rand
-	sampler *sim.Ticker
+	res    *ResiliencePolicy
+	resRNG *rand.Rand
+	errRNG *rand.Rand
 
 	telemetry TelemetryConfig
 
@@ -92,7 +91,7 @@ func NewApp(eng *sim.Engine, spec AppSpec) (*App, error) {
 // NewAppOnCluster deploys an application whose replicas are placed on (and
 // bounded by) a physical cluster.
 func NewAppOnCluster(eng *sim.Engine, spec AppSpec, cl *cluster.Cluster) (*App, error) {
-	return newApp(eng, spec, metrics.DefaultWindow, cl)
+	return newAppPlaced(eng, spec, metrics.DefaultWindow, cl, TelemetryConfig{}, nil)
 }
 
 // NewAppOnClusterPlaced is NewAppOnCluster with a replica placer installed
@@ -107,15 +106,7 @@ func NewAppOnClusterPlaced(eng *sim.Engine, spec AppSpec, cl *cluster.Cluster, p
 // profiling harnesses use finer windows so their sampling cadence and the
 // metric buckets stay aligned.
 func NewAppWindow(eng *sim.Engine, spec AppSpec, window sim.Time) (*App, error) {
-	return newApp(eng, spec, window, nil)
-}
-
-func newApp(eng *sim.Engine, spec AppSpec, window sim.Time, cl *cluster.Cluster) (*App, error) {
-	return newAppTelemetry(eng, spec, window, cl, TelemetryConfig{})
-}
-
-func newAppTelemetry(eng *sim.Engine, spec AppSpec, window sim.Time, cl *cluster.Cluster, tc TelemetryConfig) (*App, error) {
-	return newAppPlaced(eng, spec, window, cl, tc, nil)
+	return newAppPlaced(eng, spec, window, nil, TelemetryConfig{}, nil)
 }
 
 func newAppPlaced(eng *sim.Engine, spec AppSpec, window sim.Time, cl *cluster.Cluster, tc TelemetryConfig, p Placer) (*App, error) {
@@ -140,7 +131,7 @@ func newAppPlaced(eng *sim.Engine, spec AppSpec, window sim.Time, cl *cluster.Cl
 		a.services[ss.Name] = s
 		a.ordered = append(a.ordered, s)
 	}
-	a.sampler = eng.Every(a.window, a.sampleMetrics)
+	eng.Every(a.window, a.sampleMetrics)
 	return a, nil
 }
 
@@ -295,9 +286,6 @@ func (a *App) sampleMetrics() {
 		a.TrimTelemetry(now - a.telemetry.Retention)
 	}
 }
-
-// StopSampling halts the periodic sampler (end of experiment).
-func (a *App) StopSampling() { a.sampler.Stop() }
 
 // TotalAllocatedCPUs sums currently allocated CPUs over all services.
 func (a *App) TotalAllocatedCPUs() float64 {

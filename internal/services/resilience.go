@@ -64,9 +64,6 @@ func (a *App) SetResilience(p ResiliencePolicy) {
 	a.resRNG = a.Eng.RNG("resilience/" + a.Spec.Name)
 }
 
-// Resilience returns the active policy, or nil.
-func (a *App) Resilience() *ResiliencePolicy { return a.res }
-
 // backoffDelay computes the backoff before retry number `attempt` (1-based
 // over completed attempts) with deterministic jitter.
 func (a *App) backoffDelay(attempt int) sim.Time {

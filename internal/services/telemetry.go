@@ -28,7 +28,7 @@ type TelemetryConfig struct {
 // NewAppTelemetry deploys an application with an explicit telemetry
 // configuration; cl may be nil for an uncapacitated deployment.
 func NewAppTelemetry(eng *sim.Engine, spec AppSpec, window sim.Time, cl *cluster.Cluster, tc TelemetryConfig) (*App, error) {
-	return newAppTelemetry(eng, spec, window, cl, tc)
+	return newAppPlaced(eng, spec, window, cl, tc, nil)
 }
 
 // NewAppTelemetryPlaced is NewAppTelemetry with a replica placer installed
@@ -36,9 +36,6 @@ func NewAppTelemetry(eng *sim.Engine, spec AppSpec, window sim.Time, cl *cluster
 func NewAppTelemetryPlaced(eng *sim.Engine, spec AppSpec, window sim.Time, cl *cluster.Cluster, tc TelemetryConfig, p Placer) (*App, error) {
 	return newAppPlaced(eng, spec, window, cl, tc, p)
 }
-
-// Telemetry reports the app's telemetry configuration.
-func (a *App) Telemetry() TelemetryConfig { return a.telemetry }
 
 // newWindowed builds a latency-sample collector per the telemetry config.
 func (a *App) newWindowed() *metrics.Windowed {

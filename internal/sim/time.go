@@ -8,7 +8,6 @@
 package sim
 
 import (
-	"fmt"
 	"time"
 )
 
@@ -52,11 +51,3 @@ func Seconds2Time(s float64) Time { return Time(s * float64(Second)) }
 
 // Millis2Time converts floating point milliseconds to a Time delta.
 func Millis2Time(ms float64) Time { return Time(ms * float64(Millisecond)) }
-
-// CheckNonNegative panics if t is negative; used to validate delays built
-// from arithmetic on measured values.
-func CheckNonNegative(t Time, what string) {
-	if t < 0 {
-		panic(fmt.Sprintf("sim: negative %s: %v", what, t))
-	}
-}
