@@ -73,10 +73,11 @@ bench-telemetry:
 
 # bench-throughput runs the single-run throughput headline: a 10×-scale
 # social-network app at 1000 RPS, reporting wall-clock events/sec and heap
-# allocations per injected request for the default fast path ("fused":
-# batched arrivals + pooled step frames) and the retained pre-PR
-# implementation ("reference"). Diff BENCH_throughput.json to track the
-# events/sec trajectory PR over PR.
+# allocations per injected request for the fast path ("fused": batched
+# arrivals + pooled step frames), the only path production runs. The
+# checked-in file's "reference" rows are the last measurement of the
+# retired reference paths (now test oracles); rerunning drops them. Diff
+# BENCH_throughput.json to track the events/sec trajectory PR over PR.
 bench-throughput:
 	$(GO) test -run '^$$' -bench 'BenchmarkThroughput' -benchtime=3x \
 		-benchmem ./internal/experiments \

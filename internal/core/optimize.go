@@ -1,12 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-	"sort"
-
-	"ursa/internal/stats"
-)
+import "sort"
 
 // ClassTarget is one end-to-end SLA constraint: the x-th percentile latency
 // of the class must stay below TargetMs.
@@ -122,8 +116,8 @@ type option struct {
 // The search runs on a pooled solver (solver.go) with cached percentile
 // tables, precomputed cost orders and dominance pruning; it returns the same
 // picks, bounds and percentile assignment as the retained straightforward
-// implementation (reference.go), bit for bit — only Solution.Nodes differs,
-// since pruned subtrees are never visited.
+// implementation (the test oracle in reference_test.go), bit for bit — only
+// Solution.Nodes differs, since pruned subtrees are never visited.
 func (m *Model) Solve() (*Solution, error) {
 	if active := m.activeTargets(); len(active) != len(m.Targets) {
 		mm := *m
@@ -151,78 +145,6 @@ func (m *Model) activeTargets() []ClassTarget {
 		}
 	}
 	return out
-}
-
-// compile validates the model and builds the option/term tables.
-func (m *Model) compile() (svcNames []string, opts [][]option, terms [][]term, budgets []int, err error) {
-	seen := map[string]bool{}
-	for _, tgt := range m.Targets {
-		if len(tgt.Path) == 0 {
-			return nil, nil, nil, nil, fmt.Errorf("core: target %s has an empty path", tgt.Name)
-		}
-		for _, v := range tgt.Path {
-			if !seen[v.Service] {
-				seen[v.Service] = true
-				svcNames = append(svcNames, v.Service)
-			}
-		}
-	}
-	sort.Strings(svcNames)
-
-	terms = make([][]term, len(m.Targets))
-	budgets = make([]int, len(m.Targets))
-	for t, tgt := range m.Targets {
-		budgets[t] = residualUnits(tgt.Percentile)
-		for _, v := range tgt.Path {
-			terms[t] = append(terms[t], term{service: v.Service, class: v.Class, count: float64(v.Count)})
-		}
-	}
-
-	opts = make([][]option, len(svcNames))
-	for si, name := range svcNames {
-		p := m.Profiles[name]
-		if p == nil || len(p.Points) == 0 {
-			return nil, nil, nil, nil, fmt.Errorf("core: no exploration profile for service %q", name)
-		}
-		for pi := range p.Points {
-			pt := &p.Points[pi]
-			cost, ok := m.optionCost(name, pt)
-			if !ok {
-				continue
-			}
-			op := option{index: pi, cost: cost, lat: make([][]float64, len(m.Targets))}
-			usable := true
-			for t := range m.Targets {
-				var mine *term
-				for k := range terms[t] {
-					if terms[t][k].service == name {
-						mine = &terms[t][k]
-						break
-					}
-				}
-				if mine == nil {
-					continue
-				}
-				samples := pt.Latency[mine.class]
-				if len(samples) == 0 {
-					usable = false
-					break
-				}
-				row := make([]float64, len(Percentiles))
-				for b, pp := range Percentiles {
-					row[b] = mine.count * stats.Percentile(samples, pp)
-				}
-				op.lat[t] = row
-			}
-			if usable {
-				opts[si] = append(opts[si], op)
-			}
-		}
-		if len(opts[si]) == 0 {
-			return nil, nil, nil, nil, fmt.Errorf("core: service %q has no usable LPR points for the current classes", name)
-		}
-	}
-	return svcNames, opts, terms, budgets, nil
 }
 
 // optionCost projects the CPU consumption of running service at the point's
@@ -267,124 +189,6 @@ func equalSplitIndex(budget, n int) int {
 		}
 	}
 	return -1
-}
-
-// assignPercentiles solves, for one target, the percentile-budget DP: pick a
-// percentile per path term minimizing the summed latency bound subject to
-// Σ residuals ≤ budget; feasible iff the minimum bound ≤ TargetMs. With
-// EqualSplitPercentiles the assignment is fixed to the equal-split
-// percentile instead (ablation).
-func (m *Model) assignPercentiles(t int, tms []term, opts [][]option, pick []int, svcNames []string, budget int) (assignment, bool) {
-	if m.EqualSplitPercentiles {
-		return m.assignEqualSplit(t, tms, opts, pick, svcNames, budget)
-	}
-	type cell struct {
-		lat    float64
-		choice int8
-	}
-	residuals := make([]int, len(Percentiles))
-	for b, p := range Percentiles {
-		residuals[b] = residualUnits(p)
-	}
-	svcIdx := map[string]int{}
-	for i, n := range svcNames {
-		svcIdx[n] = i
-	}
-
-	// rows[k]: latency contribution of term k per percentile index.
-	rows := make([][]float64, len(tms))
-	for k, tm := range tms {
-		si := svcIdx[tm.service]
-		for _, op := range opts[si] {
-			if op.index == pick[si] {
-				rows[k] = op.lat[t]
-				break
-			}
-		}
-		if rows[k] == nil {
-			return assignment{}, false
-		}
-	}
-
-	const inf = math.MaxFloat64 / 4
-	dp := make([][]cell, len(tms)+1)
-	for k := range dp {
-		dp[k] = make([]cell, budget+1)
-		for b := range dp[k] {
-			dp[k][b] = cell{lat: inf, choice: -1}
-		}
-	}
-	dp[0][budget].lat = 0
-	for k := 0; k < len(tms); k++ {
-		for b := 0; b <= budget; b++ {
-			if dp[k][b].lat >= inf {
-				continue
-			}
-			for β, r := range residuals {
-				if r > b {
-					continue
-				}
-				nb := b - r
-				nl := dp[k][b].lat + rows[k][β]
-				if nl < dp[k+1][nb].lat {
-					dp[k+1][nb] = cell{lat: nl, choice: int8(β)}
-				}
-			}
-		}
-	}
-	bestB, bestLat := -1, inf
-	for b := 0; b <= budget; b++ {
-		if dp[len(tms)][b].lat < bestLat {
-			bestLat = dp[len(tms)][b].lat
-			bestB = b
-		}
-	}
-	if bestB == -1 || bestLat > m.targetMs(t) {
-		return assignment{}, false
-	}
-	// Recover choices.
-	percs := make([]float64, len(tms))
-	b := bestB
-	for k := len(tms); k >= 1; k-- {
-		β := dp[k][b].choice
-		percs[k-1] = Percentiles[β]
-		b += residuals[β]
-	}
-	return assignment{percentiles: percs, bound: bestLat}, true
-}
-
-// assignEqualSplit is the ablation percentile policy: every term gets the
-// same percentile (equal residual split).
-func (m *Model) assignEqualSplit(t int, tms []term, opts [][]option, pick []int, svcNames []string, budget int) (assignment, bool) {
-	β := equalSplitIndex(budget, len(tms))
-	if β == -1 {
-		return assignment{}, false
-	}
-	svcIdx := map[string]int{}
-	for i, n := range svcNames {
-		svcIdx[n] = i
-	}
-	bound := 0.0
-	percs := make([]float64, len(tms))
-	for k, tm := range tms {
-		si := svcIdx[tm.service]
-		var row []float64
-		for _, op := range opts[si] {
-			if op.index == pick[si] {
-				row = op.lat[t]
-				break
-			}
-		}
-		if row == nil {
-			return assignment{}, false
-		}
-		bound += row[β]
-		percs[k] = Percentiles[β]
-	}
-	if bound > m.targetMs(t) {
-		return assignment{}, false
-	}
-	return assignment{percentiles: percs, bound: bound}, true
 }
 
 // EstimateBound computes, for one class, the tightest Theorem 1 latency

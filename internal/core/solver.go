@@ -11,8 +11,9 @@ import (
 
 // This file holds the optimised decision path: a reusable solver with
 // precomputed state that Model.Solve runs on. It returns bit-identical
-// results to solveReference (same picks, bounds, percentile assignment and
-// errors — property-tested in solver_test.go); the speed comes from
+// results to the solveReference test oracle (same picks, bounds, percentile
+// assignment and errors — property-tested in solver_test.go); the speed
+// comes from
 //
 //   - percentile rows read from the per-Profile cached tables (one sort per
 //     point per class, ever) instead of one quickselect per option × target
@@ -179,10 +180,10 @@ func growI(buf []int, n int) []int {
 	return make([]int, n)
 }
 
-// compile mirrors Model.compile — same validation, same option filtering,
-// same term tables — but reads latency rows from the Profile percentile
-// caches instead of re-selecting order statistics from raw samples, and
-// builds everything into reused arenas.
+// compile mirrors the reference oracle's Model.compile — same validation,
+// same option filtering, same term tables — but reads latency rows from the
+// Profile percentile caches instead of re-selecting order statistics from
+// raw samples, and builds everything into reused arenas.
 func (s *solver) compile() error {
 	m := s.m
 	s.svcNames = s.svcNames[:0]

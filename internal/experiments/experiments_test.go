@@ -314,11 +314,3 @@ func TestCorpusBeats(t *testing.T) {
 		t.Error("among failures, lower violation wins")
 	}
 }
-
-func TestSolveGenericMIPWiring(t *testing.T) {
-	// The exact MIP (1) toy instance: δ picks the cheap points (cost 2+3)
-	// whose best percentile latencies 10+15 fit the 40ms target.
-	if got := SolveGenericMIP(); got != 5 {
-		t.Fatalf("SolveGenericMIP = %v, want 5", got)
-	}
-}

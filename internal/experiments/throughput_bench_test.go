@@ -1,8 +1,11 @@
 package experiments
 
 import (
-	"reflect"
+	"crypto/sha256"
+	"fmt"
+	"os"
 	"runtime"
+	"strings"
 	"testing"
 
 	"ursa/internal/services"
@@ -25,69 +28,53 @@ func scaledSocialNetwork(k int) services.AppSpec {
 	return spec
 }
 
-// setFastPath selects the batched-arrival + fused-frame fast path (the
-// default) or the retained reference paths, returning a restore func.
-func setFastPath(fast bool) func() {
-	prevArr, prevSteps := workload.UseLegacyArrivals, services.UseReferenceSteps
-	workload.UseLegacyArrivals = !fast
-	services.UseReferenceSteps = !fast
-	return func() {
-		workload.UseLegacyArrivals = prevArr
-		services.UseReferenceSteps = prevSteps
-	}
-}
-
 // BenchmarkThroughput is the tracked single-run throughput headline: a
 // 10×-scale social network at 1000 RPS, simulated for 2 minutes per
 // iteration. It reports wall-clock events/sec and heap allocs per injected
-// request for the default fast path ("fused") and the retained pre-PR
-// implementation ("reference") — the pair BENCH_throughput.json records, so
-// every future PR moves a visible number against a pinned baseline.
+// request for the batched-arrival + fused-frame path ("fused"), the number
+// BENCH_throughput.json records.
 func BenchmarkThroughput(b *testing.B) {
 	const (
 		scale   = 10
 		rps     = 1000
 		simTime = 2 * sim.Minute
 	)
-	for _, mode := range []struct {
-		name string
-		fast bool
-	}{{"fused", true}, {"reference", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			restore := setFastPath(mode.fast)
-			defer restore()
-			var events uint64
-			var jobs, allocs uint64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng := sim.NewEngine(int64(i) + 1)
-				app := services.MustNewApp(eng, scaledSocialNetwork(scale))
-				gen := workload.New(eng, app, workload.Constant{Value: rps}, topology.SocialNetworkMix())
-				gen.Start()
-				var m0, m1 runtime.MemStats
-				runtime.ReadMemStats(&m0)
-				eng.RunUntil(simTime)
-				runtime.ReadMemStats(&m1)
-				events += eng.Fired()
-				jobs += uint64(app.InjectedJobs)
-				allocs += m1.Mallocs - m0.Mallocs
-			}
-			b.StopTimer()
-			if jobs == 0 {
-				b.Fatal("no jobs injected")
-			}
-			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-			b.ReportMetric(float64(allocs)/float64(jobs), "allocs/req")
-		})
-	}
+	b.Run("fused", func(b *testing.B) {
+		var events uint64
+		var jobs, allocs uint64
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			eng := sim.NewEngine(int64(i) + 1)
+			app := services.MustNewApp(eng, scaledSocialNetwork(scale))
+			gen := workload.New(eng, app, workload.Constant{Value: rps}, topology.SocialNetworkMix())
+			gen.Start()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			eng.RunUntil(simTime)
+			runtime.ReadMemStats(&m1)
+			events += eng.Fired()
+			jobs += uint64(app.InjectedJobs)
+			allocs += m1.Mallocs - m0.Mallocs
+		}
+		b.StopTimer()
+		if jobs == 0 {
+			b.Fatal("no jobs injected")
+		}
+		b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
+		b.ReportMetric(float64(allocs)/float64(jobs), "allocs/req")
+	})
 }
 
 // TestThroughputPathsPreserveFig2 is the experiment-level byte-identity pin
-// for this PR's fast paths: the full fig2 backpressure run (all three call
-// modes, CPU throttling mid-run) must render byte-identically with batched
-// arrivals + fused frames vs the retained reference paths, across ≥20 seeds
-// and across Parallelism settings.
+// for the batched-arrival + fused-frame fast paths: the full fig2
+// backpressure run (all three call modes, CPU throttling mid-run) must render
+// byte-identically to the retained reference paths, across ≥20 seeds and
+// across Parallelism settings. The reference side is pinned as digests: the
+// sha256 of each seed's Render() at Parallelism 1, captured with the
+// closure-per-hop step interpreter and the one-timer-per-arrival generator
+// (now the oracles in internal/services and internal/workload
+// reference_test.go) in place of the fast paths.
 func TestThroughputPathsPreserveFig2(t *testing.T) {
 	seeds := int64(20)
 	if testing.Short() {
@@ -99,24 +86,35 @@ func TestThroughputPathsPreserveFig2(t *testing.T) {
 		// detector on while keeping the package inside the test timeout.
 		seeds = 1
 	}
+	want := readSeedDigests(t, "testdata/fig2_seed_renders.sha256")
 	for seed := int64(1); seed <= seeds; seed++ {
-		restore := setFastPath(false)
-		ref := RunBackpressure(Options{Seed: seed, Parallelism: 1})
-		restore()
+		fused := RunBackpressure(Options{Seed: seed, Parallelism: 1}).Render()
+		fusedPar := RunBackpressure(Options{Seed: seed, Parallelism: 4}).Render()
 
-		restore = setFastPath(true)
-		fused := RunBackpressure(Options{Seed: seed, Parallelism: 1})
-		fusedPar := RunBackpressure(Options{Seed: seed, Parallelism: 4})
-		restore()
-
-		if !reflect.DeepEqual(ref.Grid, fused.Grid) {
-			t.Fatalf("seed %d: fast-path fig2 grid diverges from reference", seed)
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(fused))); got != want[seed] {
+			t.Fatalf("seed %d: fast-path fig2 render diverges from reference (sha256 %s, want %s)", seed, got, want[seed])
 		}
-		if ref.Render() != fused.Render() {
-			t.Fatalf("seed %d: fast-path fig2 render diverges from reference", seed)
-		}
-		if fused.Render() != fusedPar.Render() {
+		if fused != fusedPar {
 			t.Fatalf("seed %d: fig2 render differs across Parallelism 1 vs 4", seed)
 		}
 	}
+}
+
+// readSeedDigests parses a "seed sha256-hex" per line digest file.
+func readSeedDigests(t *testing.T, path string) map[int64]string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("digests missing: %v", err)
+	}
+	out := map[int64]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var seed int64
+		var digest string
+		if _, err := fmt.Sscan(line, &seed, &digest); err != nil {
+			t.Fatalf("%s: bad line %q: %v", path, line, err)
+		}
+		out[seed] = digest
+	}
+	return out
 }

@@ -58,6 +58,56 @@ func TestOneHotSelection(t *testing.T) {
 	}
 }
 
+// TestMIP1Instance solves a tiny instance of the paper's MIP (1), built by
+// hand: two services × two LPR points × two percentiles, one class, with
+// one-hot δ (points) and γ (percentiles) and the δ·γ products linearised
+// through z ≥ δ + γ − 1. Variables: δ_a0 δ_a1 δ_b0 δ_b1 γ_a0 γ_a1 γ_b0 γ_b1
+// then 8 z's. δ picks the cheap points (cost 2+3) whose best percentile
+// latencies 10+15 fit the 40ms target.
+func TestMIP1Instance(t *testing.T) {
+	nVar := 8 + 8
+	c := make([]float64, nVar)
+	copy(c, []float64{2, 4, 3, 6}) // δ costs
+	var A [][]float64
+	var B []float64
+	row := func() []float64 { return make([]float64, nVar) }
+	// One-hot constraints (= 1 as two inequalities).
+	for _, oh := range [][]int{{0, 1}, {2, 3}, {4, 5}, {6, 7}} {
+		r1, r2 := row(), row()
+		for _, j := range oh {
+			r1[j] = 1
+			r2[j] = -1
+		}
+		A = append(A, r1, r2)
+		B = append(B, 1, -1)
+	}
+	// z_ij ≥ δ_i + γ_j − 1 → δ + γ − z ≤ 1, for the 8 (δ, γ) pairs within
+	// each service.
+	pairs := [][2]int{{0, 4}, {0, 5}, {1, 4}, {1, 5}, {2, 6}, {2, 7}, {3, 6}, {3, 7}}
+	lat := []float64{10, 14, 30, 42, 15, 21, 45, 63}
+	latRow := row()
+	for zi, p := range pairs {
+		r := row()
+		r[p[0]] = 1
+		r[p[1]] = 1
+		r[8+zi] = -1
+		A = append(A, r)
+		B = append(B, 1)
+		latRow[8+zi] = lat[zi]
+	}
+	// Latency constraint Σ z·D ≤ 40 (forces the fast points).
+	A = append(A, latRow)
+	B = append(B, 40)
+	integer := make([]bool, nVar)
+	for j := 0; j < 8; j++ {
+		integer[j] = true
+	}
+	r := Solve(Problem{C: c, A: A, B: B, Integer: integer})
+	if r.Status != lp.Optimal || !near(r.Obj, 5) {
+		t.Fatalf("r = %+v, want objective 5", r)
+	}
+}
+
 func TestInfeasibleMIP(t *testing.T) {
 	// x1 + x2 ≥ 3 with two binaries.
 	r := Solve(Problem{

@@ -65,6 +65,11 @@ type App struct {
 	// experiment runs never share them.
 	framePool []*frame
 	reqPool   []*Request
+
+	// referenceStart, when non-nil, runs each handler through the
+	// closure-per-hop reference interpreter instead of a frame. It is nil
+	// in production; only the equivalence tests (reference_test.go) set it.
+	referenceStart func(s *Service, rep *Replica, req *Request, steps []Step)
 }
 
 // Placer chooses a node for a new replica of the named service. Implementors

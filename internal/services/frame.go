@@ -7,16 +7,9 @@ import (
 	"ursa/internal/trace"
 )
 
-// UseReferenceSteps, when set before apps are built, routes every handler
-// through the retained closure-per-hop reference interpreter
-// (runStepsReference) instead of the pooled step-frame machine. The two paths
-// are pinned byte-identical by TestFramesMatchReference and the experiment-
-// level identity tests; the flag exists so those tests (and A/B benchmarks)
-// can run the original implementation without forking the package.
-var UseReferenceSteps bool
-
 // frame is one execution of one handler step list: the fused replacement for
-// the reference interpreter's closure chain. Where the reference path builds
+// the reference interpreter's closure chain (kept as a test oracle in
+// reference_test.go). Where the reference path builds
 // a fresh `step` closure, a fresh `finish` closure and a fresh continuation
 // closure per hop, a frame carries the program counter (i), the downstream-
 // wait accumulator and the completion state in one pooled struct, and every

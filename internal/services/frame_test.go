@@ -84,12 +84,11 @@ func kitchenSinkSpec() AppSpec {
 // optionally enables resilience + network faults and a mid-run replica
 // crash.
 func frameScenario(seed int64, reference, faults bool) string {
-	prev := UseReferenceSteps
-	UseReferenceSteps = reference
-	defer func() { UseReferenceSteps = prev }()
-
 	eng := sim.NewEngine(seed)
 	app := MustNewApp(eng, kitchenSinkSpec())
+	if reference {
+		useReferenceSteps(app)
+	}
 	if faults {
 		app.SetResilience(ResiliencePolicy{TimeoutMs: 100, MaxRetries: 2, BackoffBaseMs: 5, BackoffMaxMs: 20, JitterFrac: 0.2})
 		app.Net = &delayNet{delays: []sim.Time{2 * sim.Millisecond, 0, 5 * sim.Millisecond, 0, 0, 3 * sim.Millisecond}}
@@ -158,11 +157,11 @@ func TestFramesMatchReference(t *testing.T) {
 // pool-recycled).
 func TestFrameAllocsBelowReference(t *testing.T) {
 	measure := func(reference bool) float64 {
-		prev := UseReferenceSteps
-		UseReferenceSteps = reference
-		defer func() { UseReferenceSteps = prev }()
 		eng := sim.NewEngine(3)
 		app := MustNewApp(eng, kitchenSinkSpec())
+		if reference {
+			useReferenceSteps(app)
+		}
 		rng := rand.New(rand.NewSource(99))
 		var arrive func()
 		arrive = func() {

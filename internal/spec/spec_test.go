@@ -196,6 +196,21 @@ func TestLoaderErrorPaths(t *testing.T) {
 			`app.yaml: services.frontend.operations.get.steps[1].call.error_rate: must be in [0, 1]`,
 		},
 		{
+			"replica count over the bound",
+			strings.Replace(minimalDoc, "replicas: 1", "replicas: 200000000", 1),
+			`app.yaml: services.frontend.replicas: must be at most 4096`,
+		},
+		{
+			"thread count over the bound",
+			strings.Replace(minimalDoc, "replicas: 1", "replicas: 1\n    threads: 2000000", 1),
+			`app.yaml: services.frontend.threads: must be at most 1048576`,
+		},
+		{
+			"negative daemon count",
+			strings.Replace(minimalDoc, "replicas: 1", "replicas: 1\n    daemons: -1", 1),
+			`app.yaml: services.frontend.daemons: must not be negative`,
+		},
+		{
 			"unknown class in mix",
 			minimalDoc + "workload:\n  rate: 10\n  mix:\n    nosuch: 1\n",
 			`app.yaml: workload.mix.nosuch: unknown class "nosuch"`,

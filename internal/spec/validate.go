@@ -5,6 +5,15 @@ import (
 	"strings"
 )
 
+// Upper bounds on a service's counts. Every replica is simulated state, so
+// an unbounded count lets a spec file exhaust memory before the run starts.
+// Both sit far above every checked-in spec and generator (at most 16
+// replicas; threads up to the rpc default of 4096).
+const (
+	maxReplicas = 4096    // replicas and max_replicas
+	maxSlots    = 1 << 20 // threads and daemons per replica
+)
+
 // Validate checks a decoded File semantically and returns the first problem
 // found as a field-path *Error: version support, unique service/class/
 // operation names, referential integrity of every call/spawn edge, operation
@@ -67,8 +76,21 @@ func (f *File) Validate() error {
 		if s.CPUs < 0 {
 			return errf(path+".cpus", "must not be negative")
 		}
-		if s.Replicas < 0 || s.Threads < 0 || s.Daemons < 0 || s.MaxReplicas < 0 {
-			return errf(path, "counts must not be negative")
+		for _, c := range []struct {
+			field  string
+			n, max int
+		}{
+			{"replicas", s.Replicas, maxReplicas},
+			{"max_replicas", s.MaxReplicas, maxReplicas},
+			{"threads", s.Threads, maxSlots},
+			{"daemons", s.Daemons, maxSlots},
+		} {
+			if c.n < 0 {
+				return errf(path+"."+c.field, "must not be negative")
+			}
+			if c.n > c.max {
+				return errf(path+"."+c.field, "must be at most %d", c.max)
+			}
 		}
 		if s.StartupDelaySec < 0 {
 			return errf(path+".startup_delay", "must not be negative")

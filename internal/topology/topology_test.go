@@ -3,10 +3,12 @@ package topology
 import (
 	"encoding/json"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"ursa/internal/services"
 	"ursa/internal/sim"
+	"ursa/internal/spec"
 	"ursa/internal/stats"
 	"ursa/internal/workload"
 )
@@ -161,18 +163,149 @@ func TestChainTierNames(t *testing.T) {
 	}
 }
 
+// TestSpecsJSONRoundTrip checks that every built-in app survives the JSON
+// form of the topology format: its canonical spec, written as JSON and
+// loaded back through spec.Parse's JSON branch, compiles to the same app.
 func TestSpecsJSONRoundTrip(t *testing.T) {
 	for _, app := range Apps() {
-		data, err := json.Marshal(app.Spec)
+		f, err := spec.Canonical(app.Spec, app.Mix, app.RPS)
+		if err != nil {
+			t.Fatalf("%s: canonical: %v", app.Name, err)
+		}
+		data, err := json.Marshal(specJSON(f))
 		if err != nil {
 			t.Fatalf("%s: marshal: %v", app.Name, err)
 		}
-		var got services.AppSpec
-		if err := json.Unmarshal(data, &got); err != nil {
-			t.Fatalf("%s: unmarshal: %v", app.Name, err)
+		g, err := spec.Parse(app.Name+".json", data)
+		if err != nil {
+			t.Fatalf("%s: parse: %v\n%s", app.Name, err, data)
 		}
-		if !reflect.DeepEqual(app.Spec, got) {
-			t.Errorf("%s: JSON round trip mismatch", app.Name)
+		c, err := spec.Build(g)
+		if err != nil {
+			t.Fatalf("%s: build: %v", app.Name, err)
+		}
+		if !reflect.DeepEqual(c.Spec, app.Spec) {
+			t.Errorf("%s: JSON round trip changed the app", app.Name)
+			diffAppSpecs(t, c.Spec, app.Spec)
+		}
+		if !reflect.DeepEqual(c.Mix, app.Mix) || c.Rate != app.RPS {
+			t.Errorf("%s: JSON round trip changed the workload", app.Name)
 		}
 	}
+}
+
+// specJSON renders a spec.File as the JSON document spec.Parse reads, key
+// for key the JSON counterpart of File.Encode's YAML.
+func specJSON(f *spec.File) map[string]any {
+	ms := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) + "ms" }
+	var steps func([]spec.Step) []any
+	steps = func(in []spec.Step) []any {
+		out := []any{}
+		for _, st := range in {
+			switch st.Kind {
+			case spec.StepCompute:
+				c := map[string]any{"duration": ms(st.Duration.MeanMs)}
+				if st.Duration.DevMs != 0 {
+					c["duration"] = ms(st.Duration.MeanMs) + " +/- " + ms(st.Duration.DevMs)
+				}
+				if st.CV != 0 {
+					c["cv"] = st.CV
+				}
+				out = append(out, map[string]any{"compute": c})
+			case spec.StepCall:
+				c := map[string]any{"service": st.Service}
+				if st.Mode != "" {
+					c["mode"] = st.Mode
+				}
+				if st.Class != "" {
+					c["class"] = st.Class
+				}
+				if st.ErrorRate != 0 {
+					c["error_rate"] = st.ErrorRate
+				}
+				out = append(out, map[string]any{"call": c})
+			case spec.StepSpawn:
+				out = append(out, map[string]any{"spawn": map[string]any{"service": st.Service, "class": st.Class}})
+			case spec.StepPar:
+				var brs []any
+				for _, b := range st.Branches {
+					brs = append(brs, map[string]any{"steps": steps(b.Steps)})
+				}
+				out = append(out, map[string]any{"par": map[string]any{"branches": brs}})
+			}
+		}
+		return out
+	}
+	doc := map[string]any{"version": f.Version, "app": f.App}
+	if len(f.Regions) > 0 {
+		var regions []any
+		for _, r := range f.Regions {
+			m := map[string]any{"name": r.Name, "nodes": r.Nodes}
+			if len(r.WAN) > 0 {
+				wan := map[string]any{}
+				for _, e := range r.WAN {
+					lat := ms(e.LatencyMs)
+					if e.JitterMs > 0 {
+						lat += " +/- " + ms(e.JitterMs)
+					}
+					wan[e.To] = lat
+				}
+				m["wan"] = wan
+			}
+			regions = append(regions, m)
+		}
+		doc["regions"] = regions
+	}
+	var svcs []any
+	for _, s := range f.Services {
+		m := map[string]any{"name": s.Name, "kind": s.Kind, "cpus": s.CPUs, "replicas": s.Replicas}
+		if s.Threads > 0 {
+			m["threads"] = s.Threads
+		}
+		if s.Daemons > 0 {
+			m["daemons"] = s.Daemons
+		}
+		if s.MaxReplicas > 0 {
+			m["max_replicas"] = s.MaxReplicas
+		}
+		if s.StartupDelaySec > 0 {
+			m["startup_delay"] = ms(s.StartupDelaySec * 1000)
+		}
+		if s.Region != "" {
+			m["region"] = s.Region
+		}
+		if s.Ingress != nil {
+			m["ingress"] = map[string]any{"cost": ms(s.Ingress.CostMs), "window": s.Ingress.Window}
+		}
+		ops := map[string]any{}
+		for _, op := range s.Operations {
+			ops[op.Name] = map[string]any{"steps": steps(op.Steps)}
+		}
+		m["operations"] = ops
+		svcs = append(svcs, m)
+	}
+	doc["services"] = svcs
+	var classes []any
+	for _, c := range f.Classes {
+		m := map[string]any{"name": c.Name, "sla": map[string]any{"percentile": c.SLA.Percentile, "latency": ms(c.SLA.LatencyMs)}}
+		if c.Entry != "" {
+			m["entry"] = c.Entry
+		}
+		if c.Priority != 0 {
+			m["priority"] = c.Priority
+		}
+		if c.Derived {
+			m["derived"] = true
+		}
+		classes = append(classes, m)
+	}
+	doc["classes"] = classes
+	if f.Workload != nil {
+		mix := map[string]any{}
+		for _, e := range f.Workload.Mix {
+			mix[e.Class] = e.Weight
+		}
+		doc["workload"] = map[string]any{"rate": f.Workload.Rate, "mix": mix}
+	}
+	return doc
 }

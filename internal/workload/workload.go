@@ -151,14 +151,6 @@ func (m Mix) Fraction(class string) float64 {
 	return m[class] / total
 }
 
-// UseLegacyArrivals, when set before generators are started, routes every
-// arrival through the retained one-timer-per-arrival reference path instead
-// of the batched fast path. The two paths are pinned byte-identical by
-// TestBatchedMatchesLegacy and the experiment-level identity tests; the flag
-// exists so those tests (and A/B benchmarks) can run the original
-// implementation without forking the package.
-var UseLegacyArrivals bool
-
 // arrivalBlock is how many (inter-arrival, class) RNG draw pairs the batched
 // path pre-generates at a time. Bigger blocks amortize RNG calls further but
 // pre-draw deeper past a Stop; 256 keeps the slabs L1-resident.
@@ -166,11 +158,11 @@ const arrivalBlock = 256
 
 // Generator drives Poisson arrivals of mixed request classes into an app.
 //
-// The default (batched) implementation pre-draws RNG values in blocks and
-// keeps exactly one pending arrival timer, armed through the engine's
-// closure-free handler path — zero allocations per arrival in steady state.
-// Batching preserves the reference path's behaviour exactly (see DESIGN.md
-// §4f): draws are consumed pairwise in the same stream order, each
+// It pre-draws RNG values in blocks and keeps exactly one pending arrival
+// timer, armed through the engine's closure-free handler path — zero
+// allocations per arrival in steady state. Batching preserves the behaviour
+// of the original one-timer-per-arrival ("legacy") path, kept as a test
+// oracle in reference_test.go, exactly (see DESIGN.md §4f): draws are consumed pairwise in the same stream order, each
 // inter-arrival gap is still scaled by the pattern rate read at the previous
 // arrival, and the single Schedule call per arrival happens at the same
 // moment — so event times, engine sequence numbers and every injected
@@ -183,7 +175,6 @@ type Generator struct {
 	cum     []float64
 	rng     *rand.Rand
 	stopped bool
-	legacy  bool
 	// Injected counts requests injected per class.
 	Injected map[string]int
 
@@ -209,19 +200,12 @@ func New(eng *sim.Engine, app *services.App, pattern Pattern, mix Mix) *Generato
 		classes:  classes,
 		cum:      cum,
 		rng:      eng.RNG("workload/" + app.Spec.Name),
-		legacy:   UseLegacyArrivals,
 		Injected: map[string]int{},
 	}
 }
 
 // Start begins the open-loop arrival process.
-func (g *Generator) Start() {
-	if g.legacy {
-		g.scheduleNext()
-		return
-	}
-	g.armNext()
-}
+func (g *Generator) Start() { g.armNext() }
 
 // Stop halts future arrivals (in-flight requests drain normally). A pending
 // arrival timer fires as a no-op, exactly like the legacy path.
@@ -287,35 +271,6 @@ func (g *Generator) OnEvent() {
 	g.Injected[class]++
 	g.app.Inject(class)
 	g.armNext()
-}
-
-// scheduleNext is the retained one-timer-per-arrival reference path: one
-// ExpFloat64 + one Float64 + two closures per arrival. It is the ground truth
-// the batched path is pinned against.
-func (g *Generator) scheduleNext() {
-	if g.stopped {
-		return
-	}
-	rate := g.pattern.RPS(g.eng.Now())
-	if rate <= 0 {
-		// Idle: re-check for a live rate once a second.
-		g.eng.Schedule(sim.Second, g.scheduleNext)
-		return
-	}
-	gap := sim.Seconds2Time(g.rng.ExpFloat64() / rate)
-	g.eng.Schedule(gap, func() {
-		if g.stopped {
-			return
-		}
-		class := g.pick()
-		g.Injected[class]++
-		g.app.Inject(class)
-		g.scheduleNext()
-	})
-}
-
-func (g *Generator) pick() string {
-	return g.pickFrom(g.rng.Float64())
 }
 
 func (g *Generator) pickFrom(u float64) string {

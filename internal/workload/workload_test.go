@@ -193,11 +193,14 @@ func arrivalFingerprint(seed int64, legacy bool, base Pattern, script func(eng *
 	app := testApp(eng)
 	rec := &recPattern{inner: base}
 	g := New(eng, app, rec, Mix{"a": 3, "b": 1})
-	g.legacy = legacy
 	if script != nil {
 		script(eng, g)
 	}
-	g.Start()
+	if legacy {
+		g.scheduleNext()
+	} else {
+		g.Start()
+	}
 	eng.RunUntil(10 * sim.Minute)
 	var b strings.Builder
 	fmt.Fprintf(&b, "fired=%d a=%d b=%d\n", eng.Fired(), g.Injected["a"], g.Injected["b"])
@@ -300,8 +303,11 @@ func allocsPerArrival(t *testing.T, legacy bool) float64 {
 		Classes: []services.ClassSpec{{Name: "a", Entry: "api", SLAPercentile: 99, SLAMillis: 100}},
 	})
 	g := New(eng, app, Constant{Value: 1000}, Mix{"a": 1})
-	g.legacy = legacy
-	g.Start()
+	if legacy {
+		g.scheduleNext()
+	} else {
+		g.Start()
+	}
 	eng.RunUntil(2 * sim.Minute) // warm slabs, Injected map, engine arena
 	before := g.Injected["a"]
 	runtime.GC()
