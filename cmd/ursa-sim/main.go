@@ -97,8 +97,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		spill      = fs.Bool("spill", true, "with -regions, let placement overflow into the nearest foreign region when home is capacity-short")
 		failRegion = fs.String("fail-region", "", "with -regions, fail every node of this region mid-run (timing via -fail-at/-fail-for)")
 
-		telemetry   = fs.String("telemetry", "exact", "latency collectors: exact (raw samples) | sketch (bounded-error quantile sketches, flat memory)")
-		sketchAlpha = fs.Float64("sketch-alpha", 0.01, "relative-error bound for -telemetry sketch")
+		sketchAlpha = fs.Float64("sketch-alpha", 0, "back latency collectors with bounded-error quantile sketches of this relative error, in (0,1), for flat memory (0 = exact raw samples)")
 		retention   = fs.Int("retention", 0, "trim telemetry windows older than this many minutes (0 = keep everything)")
 		traceOut    = fs.String("trace-out", "", "stream sampled request traces to this file as OTLP-style JSONL spans")
 		traceSample = fs.Int("trace-sample", 20, "with -trace-out, trace one of every N jobs")
@@ -149,6 +148,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
+	if !(*rpsMult > 0) {
+		return fmt.Errorf("-rps must be positive, got %v", *rpsMult)
+	}
 	c.TotalRPS *= *rpsMult
 
 	opts := experiments.Options{Seed: *seed, Scale: *scale, Parallelism: *parallel}
@@ -172,14 +174,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return fmt.Errorf("unknown load %q", *load)
 	}
 
-	sc.Telemetry.Retention = sim.Time(*retention) * sim.Minute
-	switch *telemetry {
-	case "exact":
-	case "sketch":
-		sc.Telemetry.SketchAlpha = *sketchAlpha
-	default:
-		return fmt.Errorf("unknown telemetry mode %q (want exact|sketch)", *telemetry)
-	}
+	sc.Telemetry = services.TelemetryConfig{SketchAlpha: *sketchAlpha, Retention: sim.Time(*retention) * sim.Minute}
 
 	failStart := experiments.Warmup + sim.Time(*failAt*float64(sim.Minute))
 	failLen := sim.Time(*failFor * float64(sim.Minute))

@@ -49,7 +49,7 @@ func TestReportGoldens(t *testing.T) {
 		files  map[string]string // path → sha256 of its contents
 	}{
 		{"autob_diurnal", []string{"-system", "auto-b", "-load", "diurnal", "-minutes", "6"}, nil},
-		{"none_sketch", []string{"-system", "none", "-telemetry", "sketch", "-minutes", "4",
+		{"none_sketch", []string{"-system", "none", "-sketch-alpha", "0.01", "-minutes", "4",
 			"-trace-out", traceOut, "-metrics-out", metricsOut}, map[string]string{
 			traceOut:   "870d66f1c8f497efab39f53163620c171e86122a9f695118ef8e5f962350f83a",
 			metricsOut: "46f842bf6f69628eeaab03de3abb0d0444e5dc2957c76316570f070f97c7b46c",
@@ -90,7 +90,12 @@ func TestRejectsBadInput(t *testing.T) {
 		{"-app", "no-such-app"},
 		{"-system", "no-such-system"},
 		{"-load", "sideways"},
-		{"-telemetry", "psychic"},
+		{"-system", "none", "-sketch-alpha", "2"},
+		{"-system", "none", "-sketch-alpha", "-0.5"},
+		{"-system", "none", "-minutes", "0"},
+		{"-system", "none", "-minutes", "-5"},
+		{"-system", "none", "-rps", "-1"},
+		{"-system", "none", "-rps", "0"},
 		{"-system", "none", "-fail-node", "node-99"},
 		{"-system", "none", "-regions", "-fail-node", "node-7"},
 		{"-system", "none", "-regions", "-fail-region", "mars"},

@@ -5,8 +5,6 @@
 package baselines
 
 import (
-	"sort"
-
 	"ursa/internal/services"
 	"ursa/internal/sim"
 	"ursa/internal/stats"
@@ -80,14 +78,4 @@ func Observe(app *services.App, from, to sim.Time) Observation {
 		}
 	}
 	return obs
-}
-
-// ServiceNamesSorted lists an observation's services deterministically.
-func (o Observation) ServiceNamesSorted() []string {
-	out := make([]string, 0, len(o.Services))
-	for n := range o.Services {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -64,11 +64,3 @@ func TestObserveDetectsViolation(t *testing.T) {
 		t.Fatalf("throttled app not flagged: %+v", obs.LatP)
 	}
 }
-
-func TestServiceNamesSorted(t *testing.T) {
-	obs := Observation{Services: map[string]ServiceObs{"b": {}, "a": {}, "c": {}}}
-	names := obs.ServiceNamesSorted()
-	if len(names) != 3 || names[0] != "a" || names[2] != "c" {
-		t.Fatalf("names = %v", names)
-	}
-}

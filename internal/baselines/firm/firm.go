@@ -22,41 +22,27 @@ import (
 type Config struct {
 	// Window is the decision interval.
 	Window sim.Time
-	// MaxReplicas bounds per-service allocation.
-	MaxReplicas int
-	// MaxStep is the largest replica delta one action can apply.
-	MaxStep int
-	// W1 weighs resource savings, W2 weighs SLA violations in the reward.
-	W1, W2 float64
-	// Hidden sizes the actor/critic networks; Batch the training batches.
-	Hidden, Batch int
 	// Seed drives the agents.
 	Seed int64
 }
 
+// Fixed action bounds, reward weights and network sizes.
+const (
+	// maxReplicas bounds per-service allocation.
+	maxReplicas = 24
+	// maxStep is the largest replica delta one action can apply.
+	maxStep = 2
+	// w1 weighs resource savings, w2 weighs SLA violations in the reward.
+	// Savings dominate: Firm "prioritizes resource savings over SLA if the
+	// savings are significant" (§VII-E).
+	w1, w2 = 1.5, 1.0
+	// hidden sizes the actor/critic networks; batch the training batches.
+	hidden, batch = 32, 32
+)
+
 func (c *Config) defaults() {
 	if c.Window <= 0 {
 		c.Window = sim.Minute
-	}
-	if c.MaxReplicas <= 0 {
-		c.MaxReplicas = 24
-	}
-	if c.MaxStep <= 0 {
-		c.MaxStep = 2
-	}
-	if c.W1 <= 0 {
-		// Savings dominate by default: Firm "prioritizes resource savings
-		// over SLA if the savings are significant" (§VII-E).
-		c.W1 = 1.5
-	}
-	if c.W2 <= 0 {
-		c.W2 = 1.0
-	}
-	if c.Hidden <= 0 {
-		c.Hidden = 32
-	}
-	if c.Batch <= 0 {
-		c.Batch = 32
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -104,7 +90,7 @@ func New(spec services.AppSpec, svcNames []string, rpsNorm float64, cfg Config) 
 	}
 	for i, name := range svcNames {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)))
-		f.agents[name] = rl.NewAgent(stateDim, cfg.Hidden, rng)
+		f.agents[name] = rl.NewAgent(stateDim, hidden, rng)
 		f.replays[name] = rl.NewReplay(4096)
 	}
 	return f
@@ -190,7 +176,7 @@ func (f *Firm) state(obs baselines.Observation, name string) []float64 {
 	return []float64{
 		so.Util,
 		so.RPS / f.rpsNorm,
-		float64(so.Replicas) / float64(f.cfg.MaxReplicas),
+		float64(so.Replicas) / float64(maxReplicas),
 		slack,
 	}
 }
@@ -200,7 +186,7 @@ func (f *Firm) state(obs baselines.Observation, name string) []float64 {
 // sparse binary violation signal so the tiny agents converge.
 func (f *Firm) reward(obs baselines.Observation, name string) float64 {
 	so := obs.Services[name]
-	saving := 1 - float64(so.Replicas)/float64(f.cfg.MaxReplicas)
+	saving := 1 - float64(so.Replicas)/float64(maxReplicas)
 	violation := 0.0
 	if obs.Violated {
 		violation = 1
@@ -220,7 +206,7 @@ func (f *Firm) reward(obs baselines.Observation, name string) float64 {
 	if pressure > 2 {
 		pressure = 2
 	}
-	return f.cfg.W1*saving - f.cfg.W2*(violation+0.5*pressure)
+	return w1*saving - w2*(violation+0.5*pressure)
 }
 
 func (f *Firm) tick() {
@@ -243,7 +229,7 @@ func (f *Firm) tick() {
 				NextState: st,
 			})
 			for it := 0; it < 3; it++ {
-				f.agents[name].Train(f.replays[name], f.cfg.Batch)
+				f.agents[name].Train(f.replays[name], batch)
 			}
 			f.TrainIterations += 3
 		}
@@ -259,13 +245,13 @@ func (f *Firm) tick() {
 		f.prevAction[name] = act
 		svc := f.app.Service(name)
 		cur := svc.Replicas()
-		delta := int(math.Round(act * float64(f.cfg.MaxStep)))
+		delta := int(math.Round(act * float64(maxStep)))
 		want := cur + delta
 		if want < 1 {
 			want = 1
 		}
-		if want > f.cfg.MaxReplicas {
-			want = f.cfg.MaxReplicas
+		if want > maxReplicas {
+			want = maxReplicas
 		}
 		if want != cur {
 			svc.SetReplicas(want)
@@ -283,11 +269,12 @@ type PretrainConfig struct {
 	// Window is the per-sample window (see sinan.CollectConfig.Window on
 	// shortened windows vs. Table V accounting).
 	Window sim.Time
-	// AnomalyEvery injects a CPU-throttle anomaly into a random service
-	// every N windows, per Firm's training procedure.
-	AnomalyEvery int
-	Seed         int64
+	Seed   int64
 }
+
+// anomalyEvery injects a CPU-throttle anomaly into a random service every N
+// pretraining windows, per Firm's training procedure.
+const anomalyEvery = 12
 
 func (c *PretrainConfig) defaults() {
 	if c.Samples <= 0 {
@@ -295,9 +282,6 @@ func (c *PretrainConfig) defaults() {
 	}
 	if c.Window <= 0 {
 		c.Window = sim.Minute
-	}
-	if c.AnomalyEvery <= 0 {
-		c.AnomalyEvery = 12
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -331,7 +315,7 @@ func Pretrain(f *Firm, mix workload.Mix, totalRPS float64, cfg PretrainConfig) P
 	f.Attach(app)
 	windows := 0
 	var throttled *services.Service
-	anom := eng.Every(sim.Time(cfg.AnomalyEvery)*cfg.Window, func() {
+	anom := eng.Every(anomalyEvery*cfg.Window, func() {
 		if throttled != nil {
 			throttled.SetCPUFactor(1)
 			throttled = nil

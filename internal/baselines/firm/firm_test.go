@@ -80,7 +80,7 @@ func TestFirmControlsApp(t *testing.T) {
 	}
 	// The agent must keep the service inside sane bounds: not pinned at
 	// the cap and never below the floor.
-	if maxR >= f.cfg.MaxReplicas {
+	if maxR >= maxReplicas {
 		t.Fatalf("agent pinned at max replicas (%d)", maxR)
 	}
 	if minR < 1 {

@@ -19,11 +19,6 @@ type CollectConfig struct {
 	// collection tractable while keeping the paper's once-per-minute
 	// accounting for Table V.
 	Window sim.Time
-	// TargetViolationRatio balances the dataset — Sinan keeps violating to
-	// non-violating samples near 1:1 so the models are unbiased.
-	TargetViolationRatio float64
-	// MaxReplicas bounds the explored allocations.
-	MaxReplicas int
 	// Seed drives the random exploration.
 	Seed int64
 }
@@ -35,16 +30,15 @@ func (c *CollectConfig) defaults() {
 	if c.Window <= 0 {
 		c.Window = sim.Minute
 	}
-	if c.TargetViolationRatio <= 0 {
-		c.TargetViolationRatio = 0.5
-	}
-	if c.MaxReplicas <= 0 {
-		c.MaxReplicas = 24
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 }
+
+// targetViolationRatio balances the dataset — Sinan keeps violating to
+// non-violating samples near 1:1 so the models are unbiased. Explored
+// allocations are bounded by maxReplicas, as in control.
+const targetViolationRatio = 0.5
 
 // CollectResult is the gathered dataset plus accounting for Table V.
 type CollectResult struct {
@@ -98,7 +92,7 @@ func Collect(spec services.AppSpec, mix workload.Mix, totalRPS float64, cfg Coll
 			next[name] = r
 		}
 		name := svcNames[rng.Intn(len(svcNames))]
-		if ratio < cfg.TargetViolationRatio {
+		if ratio < targetViolationRatio {
 			// Squeeze a random service.
 			if next[name] > 1 {
 				next[name] -= 1 + rng.Intn(2)
@@ -107,14 +101,14 @@ func Collect(spec services.AppSpec, mix workload.Mix, totalRPS float64, cfg Coll
 				}
 			}
 		} else {
-			if next[name] < cfg.MaxReplicas {
+			if next[name] < maxReplicas {
 				next[name] += 1 + rng.Intn(2)
-				if next[name] > cfg.MaxReplicas {
-					next[name] = cfg.MaxReplicas
+				if next[name] > maxReplicas {
+					next[name] = maxReplicas
 				}
 			}
 		}
-		feats := featureVector(svcNames, obs, next, cfg.MaxReplicas, rpsNorm)
+		feats := featureVector(svcNames, obs, next, rpsNorm)
 		for n, r := range next {
 			if app.Service(n).Replicas() != r {
 				app.Service(n).SetReplicas(r)

@@ -18,22 +18,26 @@ import (
 	"ursa/internal/sim"
 )
 
+// Fixed model sizes and decision bounds.
+const (
+	// maxReplicas bounds per-service allocations during collection and
+	// control.
+	maxReplicas = 24
+	// cnnFilters / cnnHidden size the CNN.
+	cnnFilters, cnnHidden = 8, 32
+	// gbtTrees / gbtDepth size the violation GBT.
+	gbtTrees, gbtDepth = 60, 4
+	// safetyProb rejects candidates whose predicted violation probability
+	// exceeds it.
+	safetyProb = 0.5
+)
+
 // Config parameterises Sinan.
 type Config struct {
 	// Window is the decision/sampling interval.
 	Window sim.Time
-	// MaxReplicas bounds per-service allocations during collection and
-	// control.
-	MaxReplicas int
-	// Filters / Hidden size the CNN.
-	Filters, Hidden int
 	// Epochs is the CNN training epoch count.
 	Epochs int
-	// Trees / Depth size the violation GBT.
-	Trees, Depth int
-	// SafetyProb rejects candidates whose predicted violation probability
-	// exceeds it.
-	SafetyProb float64
 	// Seed drives model init and collection randomness.
 	Seed int64
 }
@@ -42,26 +46,8 @@ func (c *Config) defaults() {
 	if c.Window <= 0 {
 		c.Window = sim.Minute
 	}
-	if c.MaxReplicas <= 0 {
-		c.MaxReplicas = 24
-	}
-	if c.Filters <= 0 {
-		c.Filters = 8
-	}
-	if c.Hidden <= 0 {
-		c.Hidden = 32
-	}
 	if c.Epochs <= 0 {
 		c.Epochs = 60
-	}
-	if c.Trees <= 0 {
-		c.Trees = 60
-	}
-	if c.Depth <= 0 {
-		c.Depth = 4
-	}
-	if c.SafetyProb <= 0 {
-		c.SafetyProb = 0.5
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -103,7 +89,7 @@ type Sinan struct {
 
 // featureVector builds the CNN input: channel-major [replicas | util | rps |
 // candidate] over services.
-func featureVector(svcNames []string, obs baselines.Observation, candidate map[string]int, maxReplicas int, rpsNorm float64) []float64 {
+func featureVector(svcNames []string, obs baselines.Observation, candidate map[string]int, rpsNorm float64) []float64 {
 	s := len(svcNames)
 	f := make([]float64, channels*s)
 	for i, name := range svcNames {
@@ -134,11 +120,11 @@ func Train(spec services.AppSpec, svcNames []string, rpsNorm float64, samples []
 	if kernel > width {
 		kernel = width
 	}
-	conv := nn.NewConv1D(channels, width, kernel, cfg.Filters, rng)
+	conv := nn.NewConv1D(channels, width, kernel, cnnFilters, rng)
 	s.latNet = &nn.Network{Layers: []nn.Layer{
 		conv, &nn.ReLU{},
-		nn.NewDense(conv.OutLen(), cfg.Hidden, rng), &nn.ReLU{},
-		nn.NewDense(cfg.Hidden, len(classes), rng),
+		nn.NewDense(conv.OutLen(), cnnHidden, rng), &nn.ReLU{},
+		nn.NewDense(cnnHidden, len(classes), rng),
 	}}
 
 	// CNN training: mini-batch Adam on normalised latencies.
@@ -178,7 +164,7 @@ func Train(spec services.AppSpec, svcNames []string, rpsNorm float64, samples []
 		gx[i] = sm.Features
 		gy[i] = sm.Violated
 	}
-	s.violGBT = gbt.TrainClassifier(gx, gy, gbt.Config{Trees: cfg.Trees, Depth: cfg.Depth})
+	s.violGBT = gbt.TrainClassifier(gx, gy, gbt.Config{Trees: gbtTrees, Depth: gbtDepth})
 	return s
 }
 
@@ -236,7 +222,7 @@ func (s *Sinan) candidates(cur map[string]int) []map[string]int {
 	}
 	out := []map[string]int{clone()}
 	for _, name := range s.svcNames {
-		if cur[name] < s.cfg.MaxReplicas {
+		if cur[name] < maxReplicas {
 			c := clone()
 			c[name]++
 			out = append(out, c)
@@ -249,7 +235,7 @@ func (s *Sinan) candidates(cur map[string]int) []map[string]int {
 	}
 	up := clone()
 	for _, name := range s.svcNames {
-		if up[name] < s.cfg.MaxReplicas {
+		if up[name] < maxReplicas {
 			up[name]++
 		}
 	}
@@ -276,7 +262,7 @@ func (s *Sinan) tick() {
 	x := tensor.New(len(cands), channels*width)
 	feats := make([][]float64, len(cands))
 	for i, c := range cands {
-		feats[i] = featureVector(s.svcNames, obs, c, s.cfg.MaxReplicas, s.rpsNorm)
+		feats[i] = featureVector(s.svcNames, obs, c, s.rpsNorm)
 		copy(x.Data[i*x.Cols:], feats[i])
 	}
 	pred := s.latNet.Forward(x)
@@ -290,7 +276,7 @@ func (s *Sinan) tick() {
 				break
 			}
 		}
-		if safe && s.violGBT.PredictProb(feats[i]) > s.cfg.SafetyProb {
+		if safe && s.violGBT.PredictProb(feats[i]) > safetyProb {
 			safe = false
 		}
 		if !safe {
@@ -315,7 +301,7 @@ func (s *Sinan) tick() {
 		// Nothing predicted safe: scale out the most utilised services.
 		chosen = cur
 		for _, name := range s.svcNames {
-			if obs.Services[name].Util > 0.4 && chosen[name] < s.cfg.MaxReplicas {
+			if obs.Services[name].Util > 0.4 && chosen[name] < maxReplicas {
 				chosen[name]++
 			}
 		}

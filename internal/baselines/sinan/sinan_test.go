@@ -139,7 +139,7 @@ func TestSinanManagesLoad(t *testing.T) {
 
 func TestCandidatesEnumeration(t *testing.T) {
 	spec := sinanApp()
-	s := &Sinan{cfg: Config{MaxReplicas: 8}, spec: spec, svcNames: []string{"back", "front"}}
+	s := &Sinan{spec: spec, svcNames: []string{"back", "front"}}
 	cands := s.candidates(map[string]int{"front": 2, "back": 1})
 	// hold + front±1 + back+1 (back-1 invalid at 1) + global up = 5.
 	if len(cands) != 5 {
@@ -147,7 +147,7 @@ func TestCandidatesEnumeration(t *testing.T) {
 	}
 	for _, c := range cands {
 		for _, r := range c {
-			if r < 1 || r > 8 {
+			if r < 1 || r > maxReplicas {
 				t.Fatalf("candidate out of bounds: %v", c)
 			}
 		}

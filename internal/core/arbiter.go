@@ -142,35 +142,6 @@ func (a *Arbiter) StartRefresh(interval sim.Time) {
 	})
 }
 
-// FailNode marks a node down and fans the eviction out to every tenant in
-// admission order. Each affected app's OnEviction hook (installed by its
-// manager's Run) re-solves against live loads and re-places the lost
-// replicas on the remaining capacity immediately. Returns the total
-// replicas evicted across tenants.
-func (a *Arbiter) FailNode(name string) int {
-	n := a.Cluster.NodeByName(name)
-	if n == nil {
-		panic(fmt.Sprintf("arbiter: unknown node %q", name))
-	}
-	n.SetDown(true)
-	evicted := 0
-	for _, t := range a.tenants {
-		for _, ev := range t.App.EvictNode(n) {
-			evicted += ev.Replicas
-		}
-	}
-	return evicted
-}
-
-// RecoverNode returns a failed node's capacity to the placement index.
-func (a *Arbiter) RecoverNode(name string) {
-	n := a.Cluster.NodeByName(name)
-	if n == nil {
-		panic(fmt.Sprintf("arbiter: unknown node %q", name))
-	}
-	n.SetDown(false)
-}
-
 // Tenants lists admitted tenants in admission order.
 func (a *Arbiter) Tenants() []*Tenant { return a.tenants }
 

@@ -115,9 +115,10 @@ func TestArbiterRejectsOverCommit(t *testing.T) {
 	}
 }
 
-// TestArbiterFailNodeFanout drives the fleet crash path: a node failure fans
-// eviction out across tenants, each tenant's manager re-places its lost
-// replicas, and recovery returns the node's capacity to the index.
+// TestArbiterFailNodeFanout drives the fleet crash path: a node failure on
+// the shared cluster evicts replicas of every tenant, each tenant's manager
+// re-places its lost replicas, and recovery returns the node's capacity to
+// the index.
 func TestArbiterFailNodeFanout(t *testing.T) {
 	eng := sim.NewEngine(7)
 	cl := cluster.New(cluster.WorstFit, 16, 16, 16)
@@ -144,8 +145,16 @@ func TestArbiterFailNodeFanout(t *testing.T) {
 	}
 	before := replicas()
 	availBefore := cl.AvailableCapacity()
+	node := cl.NodeByName("node-0")
 	var evicted int
-	eng.Schedule(0, func() { evicted = arb.FailNode("node-0") })
+	eng.Schedule(0, func() {
+		node.SetDown(true)
+		for _, ten := range arb.Tenants() {
+			for _, ev := range ten.App.EvictNode(node) {
+				evicted += ev.Replicas
+			}
+		}
+	})
 	eng.RunUntil(5*sim.Minute + sim.Second)
 	if evicted == 0 {
 		t.Fatal("node failure evicted nothing; test needs replicas on node-0")
@@ -158,7 +167,7 @@ func TestArbiterFailNodeFanout(t *testing.T) {
 			before, after, evicted)
 	}
 
-	arb.RecoverNode("node-0")
+	node.SetDown(false)
 	if got := cl.AvailableCapacity(); got != availBefore {
 		t.Fatalf("AvailableCapacity %v after recovery, want %v", got, availBefore)
 	}

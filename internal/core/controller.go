@@ -14,8 +14,6 @@ type ControllerConfig struct {
 	Interval sim.Time
 	// LoadWindows is how many recent windows of load feed the t-test.
 	LoadWindows int
-	// Alpha is the one-sided t-test significance for threshold crossings.
-	Alpha float64
 	// Headroom divides the LPR threshold to keep a safety margin when
 	// converting load to replicas (1.0 = none).
 	Headroom float64
@@ -25,15 +23,16 @@ type ControllerConfig struct {
 	DisableTTest bool
 }
 
+// controllerAlpha is the one-sided t-test significance for threshold
+// crossings.
+const controllerAlpha = 0.05
+
 func (c *ControllerConfig) defaults() {
 	if c.Interval <= 0 {
 		c.Interval = sim.Minute
 	}
 	if c.LoadWindows <= 0 {
 		c.LoadWindows = 2
-	}
-	if c.Alpha <= 0 {
-		c.Alpha = 0.05
 	}
 	if c.Headroom <= 0 {
 		c.Headroom = 0.9
@@ -62,9 +61,6 @@ func NewController(app *services.App, sol *Solution, cfg ControllerConfig) *Cont
 
 // SetSolution swaps in recalculated thresholds (anomaly recovery path).
 func (c *Controller) SetSolution(sol *Solution) { c.sol = sol }
-
-// Solution returns the thresholds in force.
-func (c *Controller) Solution() *Solution { return c.sol }
 
 // Tick runs one control decision for every managed service. It returns the
 // replica changes applied (service → new count) for observability.
@@ -146,7 +142,7 @@ func (c *Controller) desiredReplicas(svc *services.Service, choice *Choice, cur 
 			refScaled[i] = r * c.cfg.Headroom
 		}
 		if n > cur {
-			if c.cfg.DisableTTest || latest/float64(cur) > 1.25*eff || stats.MeanGreater(perReplica, refScaled, c.cfg.Alpha) {
+			if c.cfg.DisableTTest || latest/float64(cur) > 1.25*eff || stats.MeanGreater(perReplica, refScaled, controllerAlpha) {
 				scaleUp = true
 			}
 		}
@@ -182,7 +178,7 @@ func (c *Controller) desiredReplicas(svc *services.Service, choice *Choice, cur 
 			for i, r := range ref {
 				refScaled[i] = r * c.cfg.Headroom
 			}
-			if !c.cfg.DisableTTest && !stats.MeanGreater(refScaled, perReplica, c.cfg.Alpha) {
+			if !c.cfg.DisableTTest && !stats.MeanGreater(refScaled, perReplica, controllerAlpha) {
 				confident = false
 				break
 			}

@@ -18,16 +18,19 @@ type ExploreConfig struct {
 	Window sim.Time
 	// SLAViolationFreq F_sla terminates exploration when exceeded (0.10).
 	SLAViolationFreq float64
-	// Step is the replica reduction per iteration.
-	Step int
-	// WarmupWindows are discarded before sampling starts.
-	WarmupWindows int
-	// UtilTarget sizes the initial generous provisioning of every service
-	// ("adequate CPUs to keep the microservice's latency low").
-	UtilTarget float64
 	// Seed drives the exploration run.
 	Seed int64
 }
+
+const (
+	// exploreStep is the replica reduction per iteration.
+	exploreStep = 1
+	// exploreWarmupWindows are discarded before sampling starts.
+	exploreWarmupWindows = 1
+	// exploreUtilTarget sizes the initial generous provisioning of every
+	// service ("adequate CPUs to keep the microservice's latency low").
+	exploreUtilTarget = 0.25
+)
 
 func (c *ExploreConfig) defaults() {
 	if c.WindowsPerPoint <= 0 {
@@ -38,17 +41,6 @@ func (c *ExploreConfig) defaults() {
 	}
 	if c.SLAViolationFreq <= 0 {
 		c.SLAViolationFreq = 0.10
-	}
-	if c.Step <= 0 {
-		c.Step = 1
-	}
-	if c.WarmupWindows < 0 {
-		c.WarmupWindows = 1
-	} else if c.WarmupWindows == 0 {
-		c.WarmupWindows = 1
-	}
-	if c.UtilTarget <= 0 {
-		c.UtilTarget = 0.25
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -167,8 +159,8 @@ func nominalCPUMs(ss *services.ServiceSpec, class string) float64 {
 }
 
 // GenerousReplicas computes, for every service, a replica count that keeps
-// CPU utilisation near cfg.UtilTarget under the replayed trace.
-func (e *Explorer) GenerousReplicas(utilTarget float64) map[string]int {
+// CPU utilisation near exploreUtilTarget under the replayed trace.
+func (e *Explorer) GenerousReplicas() map[string]int {
 	loads := e.ServiceClassLoads()
 	out := map[string]int{}
 	for i := range e.Spec.Services {
@@ -177,7 +169,7 @@ func (e *Explorer) GenerousReplicas(utilTarget float64) map[string]int {
 		for class, rate := range loads[ss.Name] {
 			demand += rate * nominalCPUMs(ss, class) / 1e3
 		}
-		n := int(demand/(ss.CPUs*utilTarget)) + 1
+		n := int(demand/(ss.CPUs*exploreUtilTarget)) + 1
 		if n < ss.InitialReplicas {
 			n = ss.InitialReplicas
 		}
@@ -198,7 +190,7 @@ func (e *Explorer) ExploreService(name string, cfg ExploreConfig) (*Profile, err
 	if target == nil {
 		return nil, fmt.Errorf("core: unknown service %q", name)
 	}
-	generous := e.GenerousReplicas(cfg.UtilTarget)
+	generous := e.GenerousReplicas()
 
 	spec := e.Spec
 	spec.Services = append([]services.ServiceSpec(nil), e.Spec.Services...)
@@ -213,7 +205,7 @@ func (e *Explorer) ExploreService(name string, cfg ExploreConfig) (*Profile, err
 	}
 	gen := workload.New(eng, app, workload.Constant{Value: e.TotalRPS}, e.Mix)
 	gen.Start()
-	eng.RunUntil(sim.Time(cfg.WarmupWindows) * cfg.Window)
+	eng.RunUntil(exploreWarmupWindows * cfg.Window)
 
 	svc := app.Service(name)
 	bpThreshold := 1.0
@@ -272,7 +264,7 @@ func (e *Explorer) ExploreService(name string, cfg ExploreConfig) (*Profile, err
 		if len(point.LPR) > 0 {
 			profile.Points = append(profile.Points, point)
 		}
-		r -= cfg.Step
+		r -= exploreStep
 	}
 	profile.SortPoints()
 	if len(profile.Points) == 0 {

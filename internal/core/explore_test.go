@@ -96,7 +96,7 @@ func TestServiceClassLoadsWithSpawnsAndVisits(t *testing.T) {
 
 func TestGenerousReplicas(t *testing.T) {
 	e := miniExplorer()
-	reps := e.GenerousReplicas(0.25)
+	reps := e.GenerousReplicas()
 	// back: 200 rps × 3.1ms (incl ingress) = 0.62 cs/s; /(2×0.25) → ≥2.
 	if reps["back"] < 2 {
 		t.Fatalf("generous replicas = %+v", reps)

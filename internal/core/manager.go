@@ -85,14 +85,6 @@ func NewManager(spec services.AppSpec, profiles map[string]*Profile) *Manager {
 	}
 }
 
-// CloneFresh returns a new manager sharing this one's spec, exploration
-// profiles and fast-path setting but with pristine runtime state — deploying
-// the same exploration output onto another application instance, as the
-// paper does across its load scenarios.
-func (m *Manager) CloneFresh() *Manager {
-	return &Manager{Spec: m.Spec, Profiles: m.Profiles, Targets: m.Targets, ReSolveEpsilon: m.ReSolveEpsilon}
-}
-
 // Optimize solves the performance model for the given per-service loads and
 // returns the threshold solution, accounting its wall-clock cost. With
 // ReSolveEpsilon set, near-identical re-solves are served by the incremental
@@ -350,14 +342,6 @@ func (m *Manager) Stop() {
 	if m.app != nil {
 		m.app.OnEviction = nil
 	}
-}
-
-// AvgOptimizeMillis reports the mean wall-clock model-solve latency.
-func (m *Manager) AvgOptimizeMillis() float64 {
-	if m.OptimizeCount == 0 {
-		return 0
-	}
-	return m.OptimizeSeconds / float64(m.OptimizeCount) * 1e3
 }
 
 // AvgDecisionMillis reports the mean wall-clock latency across every

@@ -71,12 +71,13 @@ type ProfilerConfig struct {
 	// Window is the measurement window (default 30 s; profiling uses finer
 	// windows than deployment so the sweep converges quickly).
 	Window sim.Time
-	// Alpha is the Welch t-test significance level for declaring the proxy
-	// latency converged.
-	Alpha float64
 	// Seed drives the simulated harness.
 	Seed int64
 }
+
+// profilerAlpha is the Welch t-test significance level for declaring the
+// proxy latency converged.
+const profilerAlpha = 0.05
 
 func (c *ProfilerConfig) defaults() {
 	if len(c.Factors) == 0 {
@@ -89,9 +90,6 @@ func (c *ProfilerConfig) defaults() {
 	}
 	if c.Window <= 0 {
 		c.Window = 30 * sim.Second
-	}
-	if c.Alpha <= 0 {
-		c.Alpha = 0.05
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -146,7 +144,7 @@ func ProfileBackpressureThreshold(svc services.ServiceSpec, classRPS map[string]
 	last := steps[len(steps)-1]
 	firstConverged := len(steps) - 1
 	for k := len(steps) - 2; k >= 0; k-- {
-		same := stats.MeansEqual(steps[k].proxyP99Windows, last.proxyP99Windows, cfg.Alpha)
+		same := stats.MeansEqual(steps[k].proxyP99Windows, last.proxyP99Windows, profilerAlpha)
 		closeMean := steps[k].ProxyP99Mean <= last.ProxyP99Mean*1.3+1e-9
 		if same && closeMean {
 			firstConverged = k

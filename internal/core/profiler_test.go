@@ -92,7 +92,7 @@ func TestComputeOnlyEmptyHandlerGetsToken(t *testing.T) {
 func TestProfilerConfigDefaults(t *testing.T) {
 	var c ProfilerConfig
 	c.defaults()
-	if len(c.Factors) == 0 || c.WindowsPerStep != 8 || c.Window != 30*sim.Second || c.Alpha != 0.05 {
+	if len(c.Factors) == 0 || c.WindowsPerStep != 8 || c.Window != 30*sim.Second {
 		t.Fatalf("defaults = %+v", c)
 	}
 }

@@ -158,11 +158,6 @@ func TestAdaptationShapes(t *testing.T) {
 	if len(r.Original) == 0 || len(r.Updated) == 0 {
 		t.Fatal("missing latency samples")
 	}
-	// The lighter model must be visibly faster.
-	xs, ys := CDF(r.Updated)
-	if len(xs) != len(ys) || ys[len(ys)-1] != 1 {
-		t.Error("CDF malformed")
-	}
 }
 
 func TestComparisonShapesSocial(t *testing.T) {

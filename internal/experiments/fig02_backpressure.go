@@ -11,13 +11,6 @@ import (
 	"ursa/internal/workload"
 )
 
-// BackpressureCell is one (tier, minute) cell of the Fig. 2 heat map.
-type BackpressureCell struct {
-	Tier   int
-	Minute int
-	P99Ms  float64
-}
-
 // BackpressureResult reproduces Fig. 2: per-tier p99 response time per
 // one-minute interval for the three chain types, with the leaf tier's CPU
 // throttled during minutes 3–6.

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"ursa/internal/core"
@@ -115,17 +114,6 @@ func (o *Options) deployAndMeasureClass(spec services.AppSpec, profiles map[stri
 		rate = float64(violated) / float64(len(samples))
 	}
 	return samples, rate
-}
-
-// CDF returns sorted (latency, cumulative fraction) pairs for rendering.
-func CDF(samples []float64) ([]float64, []float64) {
-	xs := append([]float64(nil), samples...)
-	sort.Float64s(xs)
-	ys := make([]float64, len(xs))
-	for i := range xs {
-		ys[i] = float64(i+1) / float64(len(xs))
-	}
-	return xs, ys
 }
 
 // Render prints the adaptation summary and latency CDF quantiles.

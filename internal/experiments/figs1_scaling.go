@@ -96,7 +96,7 @@ type ScalingResult struct {
 // of fleet size, so every cell of both sweeps shares exploration output for
 // its common tenants via the profile cache.
 func GenerateFleetCase(seed int64, i int) (AppCase, error) {
-	f, err := spec.FleetMember(spec.FleetParams{Seed: seed}, i)
+	f, err := spec.FleetMember(seed, i)
 	if err != nil {
 		return AppCase{}, err
 	}

@@ -108,13 +108,3 @@ func protoFor(key string, build func() any) any {
 	e.once.Do(func() { e.val = build() })
 	return e.val
 }
-
-// resetCaches clears the exploration and prototype caches (test hook).
-func resetCaches() {
-	profileMu.Lock()
-	profileCache = map[string]*profileCacheEntry{}
-	profileMu.Unlock()
-	protoMu.Lock()
-	protoCache = map[string]*protoEntry{}
-	protoMu.Unlock()
-}

@@ -201,3 +201,13 @@ func TestFreshManagersPerCell(t *testing.T) {
 		}
 	}
 }
+
+// resetCaches clears the exploration and prototype caches.
+func resetCaches() {
+	profileMu.Lock()
+	profileCache = map[string]*profileCacheEntry{}
+	profileMu.Unlock()
+	protoMu.Lock()
+	protoCache = map[string]*protoEntry{}
+	protoMu.Unlock()
+}

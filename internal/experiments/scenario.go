@@ -130,10 +130,15 @@ func (o *Options) mustRun(s Scenario) Outcome {
 
 // Run deploys the scenario, drives it to Warmup+Duration and measures it.
 // It also returns the deployed app, whose telemetry callers may export.
-// Invalid input — an unknown system, node or region, node faults off the
-// testbed, a region failure off a region topology, or a region placement
-// without regions — is an error, reported before any preparation runs.
+// Invalid input — a non-positive duration, an unknown system, node or
+// region, node faults off the testbed, a region failure off a region
+// topology, a region placement without regions, or a deployment the app
+// rejects (such as a telemetry sketch alpha outside [0,1)) — is an error,
+// reported before any preparation runs.
 func (o *Options) Run(s Scenario) (Outcome, *services.App, error) {
+	if s.Duration <= 0 {
+		return Outcome{}, nil, fmt.Errorf("run length %v must be positive", s.Duration)
+	}
 	if s.Mix == nil {
 		s.Mix = s.App.Mix
 	}
@@ -172,15 +177,14 @@ func (o *Options) Run(s Scenario) (Outcome, *services.App, error) {
 	} else if f != "" && !contains(rm.Regions(), f) {
 		return Outcome{}, nil, fmt.Errorf("unknown region %q", f)
 	}
-	mgr, err := o.NewManager(s.App, s.System)
-	if err != nil {
-		return Outcome{}, nil, err
-	}
-
 	eng := sim.NewEngine(s.Seed)
 	app, err := services.NewAppTelemetryPlaced(eng, s.App.Spec, 0, cl, s.Telemetry, placer)
 	if err != nil {
 		return Outcome{}, nil, fmt.Errorf("deploying %s: %w", s.App.Name, err)
+	}
+	mgr, err := o.NewManager(s.App, s.System)
+	if err != nil {
+		return Outcome{}, nil, err
 	}
 	in := faults.New(eng, app, cl, s.Faults)
 	in.Start()

@@ -48,6 +48,26 @@ func TestRunRejectsBadInput(t *testing.T) {
 			s.Placement = Regions
 			return s
 		}},
+		{"zero duration", func() Scenario {
+			s := base(social)
+			s.Duration = 0
+			return s
+		}},
+		{"negative duration", func() Scenario {
+			s := base(social)
+			s.Duration = -5 * sim.Minute
+			return s
+		}},
+		{"sketch alpha out of range", func() Scenario {
+			s := base(social)
+			s.Telemetry.SketchAlpha = 2
+			return s
+		}},
+		{"negative sketch alpha", func() Scenario {
+			s := base(social)
+			s.Telemetry.SketchAlpha = -0.5
+			return s
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

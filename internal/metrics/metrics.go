@@ -30,9 +30,6 @@ type Windowed struct {
 	window sim.Time
 	// alpha > 0 selects sketch mode with that relative-error bound.
 	alpha float64
-	// maxWindows, when > 0, caps retained windows ring-buffer style: the
-	// oldest window is dropped as a new one opens.
-	maxWindows int
 
 	// Live windows are start[head:] — head advances on Trim/eviction and the
 	// arrays compact (copy down) only when more than half is dead, so
@@ -76,10 +73,6 @@ func (w *Windowed) Sketched() bool { return w.alpha > 0 }
 // Alpha reports the sketch relative-error bound (0 in exact mode).
 func (w *Windowed) Alpha() float64 { return w.alpha }
 
-// SetMaxWindows caps retained windows (0 = unbounded): once the cap is
-// reached, opening a new window evicts the oldest.
-func (w *Windowed) SetMaxWindows(n int) { w.maxWindows = n }
-
 // newSketch hands out a recycled or fresh per-window sketch.
 func (w *Windowed) newSketch() *stats.Sketch {
 	if n := len(w.free); n > 0 {
@@ -99,13 +92,8 @@ func (w *Windowed) addAt(i int, v float64) {
 	w.samples[i] = append(w.samples[i], v)
 }
 
-// appendWindow opens a new newest window, evicting the oldest if a cap is
-// set and reached.
+// appendWindow opens a new newest window.
 func (w *Windowed) appendWindow(ws sim.Time) {
-	if w.maxWindows > 0 && len(w.start)-w.head >= w.maxWindows {
-		w.dropOldest()
-		w.compact()
-	}
 	w.start = append(w.start, ws)
 	if w.Sketched() {
 		w.sketches = append(w.sketches, w.newSketch())
@@ -154,26 +142,14 @@ func (w *Windowed) compact() {
 	w.start = w.start[:n]
 	if w.Sketched() {
 		copy(w.sketches, w.sketches[w.head:])
-		clearSketchTail(w.sketches[n:])
+		clear(w.sketches[n:])
 		w.sketches = w.sketches[:n]
 	} else {
 		copy(w.samples, w.samples[w.head:])
-		clearSampleTail(w.samples[n:])
+		clear(w.samples[n:])
 		w.samples = w.samples[:n]
 	}
 	w.head = 0
-}
-
-func clearSketchTail(tail []*stats.Sketch) {
-	for i := range tail {
-		tail[i] = nil
-	}
-}
-
-func clearSampleTail(tail [][]float64) {
-	for i := range tail {
-		tail[i] = nil
-	}
 }
 
 // Add records one sample at time t. Samples normally arrive in
@@ -358,24 +334,6 @@ func (w *Windowed) Trim(cutoff sim.Time) {
 	w.compact()
 }
 
-// Reset discards all samples.
-func (w *Windowed) Reset() {
-	if w.Sketched() {
-		for i := w.head; i < len(w.start); i++ {
-			s := w.sketches[i]
-			s.Reset()
-			w.free = append(w.free, s)
-		}
-		clearSketchTail(w.sketches)
-		w.sketches = w.sketches[:0]
-	} else {
-		clearSampleTail(w.samples)
-		w.samples = w.samples[:0]
-	}
-	w.start = w.start[:0]
-	w.head = 0
-}
-
 // FootprintBytes estimates the retained heap bytes of the collector:
 // backing arrays plus per-window payloads (raw samples or sketches). It is
 // the accounting the bounded-memory tests and the bytes/window benchmark
@@ -404,10 +362,9 @@ func (w *Windowed) FootprintBytes() int {
 
 // LatencyRecorder keeps one Windowed collector per request class.
 type LatencyRecorder struct {
-	window     sim.Time
-	alpha      float64 // >0: per-class collectors are sketch-backed
-	maxWindows int
-	byClass    map[string]*Windowed
+	window  sim.Time
+	alpha   float64 // >0: per-class collectors are sketch-backed
+	byClass map[string]*Windowed
 }
 
 // NewLatencyRecorder returns an empty exact-mode recorder with the given
@@ -424,15 +381,6 @@ func NewLatencyRecorderSketch(window sim.Time, alpha float64) *LatencyRecorder {
 	return r
 }
 
-// SetMaxWindows caps retained windows per class (applies to collectors
-// created after the call and existing ones).
-func (r *LatencyRecorder) SetMaxWindows(n int) {
-	r.maxWindows = n
-	for _, w := range r.byClass {
-		w.SetMaxWindows(n)
-	}
-}
-
 // Record stores a latency sample (milliseconds) for a request class.
 func (r *LatencyRecorder) Record(t sim.Time, class string, latencyMs float64) {
 	w, ok := r.byClass[class]
@@ -442,7 +390,6 @@ func (r *LatencyRecorder) Record(t sim.Time, class string, latencyMs float64) {
 		} else {
 			w = NewWindowed(r.window)
 		}
-		w.SetMaxWindows(r.maxWindows)
 		r.byClass[class] = w
 	}
 	w.Add(t, latencyMs)
@@ -477,19 +424,11 @@ func (r *LatencyRecorder) FootprintBytes() int {
 	return b
 }
 
-// Reset discards all samples for all classes.
-func (r *LatencyRecorder) Reset() {
-	for _, w := range r.byClass {
-		w.Reset()
-	}
-}
-
 // CounterSeries counts events per fixed window (request counts → RPS).
 // Storage is a head-indexed ring with a running prefix sum, so range totals
 // are O(log windows) and retention trims are amortized O(1).
 type CounterSeries struct {
-	window     sim.Time
-	maxWindows int
+	window sim.Time
 
 	head   int
 	start  []sim.Time
@@ -510,9 +449,6 @@ func NewCounterSeries(window sim.Time) *CounterSeries {
 	return &CounterSeries{window: window}
 }
 
-// SetMaxWindows caps retained windows (0 = unbounded), ring-buffer style.
-func (c *CounterSeries) SetMaxWindows(n int) { c.maxWindows = n }
-
 // cumAt reads the cumulative count through physical index i (i may be
 // head−1 … −1 for "before everything retained").
 func (c *CounterSeries) cumAt(i int) float64 {
@@ -529,11 +465,6 @@ func (c *CounterSeries) Inc(t sim.Time, n float64) {
 	ws := t / c.window * c.window
 	m := len(c.start)
 	if m == c.head || c.start[m-1] < ws {
-		if c.maxWindows > 0 && m-c.head >= c.maxWindows {
-			c.head++
-			c.compact()
-			m = len(c.start)
-		}
 		c.start = append(c.start, ws)
 		c.counts = append(c.counts, n)
 		c.cum = append(c.cum, c.cumAt(m-1)+n)
@@ -612,15 +543,6 @@ func (c *CounterSeries) FootprintBytes() int {
 	return 8 * (cap(c.start) + cap(c.counts) + cap(c.cum))
 }
 
-// Reset discards all counts.
-func (c *CounterSeries) Reset() {
-	c.start = c.start[:0]
-	c.counts = c.counts[:0]
-	c.cum = c.cum[:0]
-	c.head = 0
-	c.base = 0
-}
-
 // Gauge integrates a piecewise-constant value over time, yielding exact
 // time-averages — used for CPU utilisation and allocation accounting. It is
 // already O(1) memory: only the running integral is retained, never a
@@ -656,14 +578,4 @@ func (g *Gauge) IntegralUntil(t sim.Time) float64 {
 		panic("metrics: IntegralUntil before last update")
 	}
 	return g.integral + g.value*(t-g.last).Seconds()
-}
-
-// AverageOver reports the time-average of the gauge over [from, t] given
-// the integral at the `from` instant (callers snapshot IntegralUntil(from)).
-func (g *Gauge) AverageOver(fromIntegral float64, from, to sim.Time) float64 {
-	d := (to - from).Seconds()
-	if d <= 0 {
-		return g.value
-	}
-	return (g.IntegralUntil(to) - fromIntegral) / d
 }

@@ -56,6 +56,8 @@ func TestPerWindowPercentile(t *testing.T) {
 	}
 }
 
+// TestWindowedTrimAndReset: Trim drops the windows before the cutoff, and a
+// cutoff past the newest window resets the collector to empty.
 func TestWindowedTrimAndReset(t *testing.T) {
 	w := NewWindowed(sim.Minute)
 	for i := 0; i < 10; i++ {
@@ -68,9 +70,9 @@ func TestWindowedTrimAndReset(t *testing.T) {
 	if s, _ := w.WindowAt(0); s != 5*sim.Minute {
 		t.Fatalf("first window after Trim starts at %v", s)
 	}
-	w.Reset()
-	if w.NumWindows() != 0 {
-		t.Fatal("Reset did not clear")
+	w.Trim(sim.Hour)
+	if w.NumWindows() != 0 || w.Count(0, sim.Hour) != 0 {
+		t.Fatal("Trim past the newest window did not clear")
 	}
 }
 
@@ -89,10 +91,6 @@ func TestLatencyRecorderClasses(t *testing.T) {
 	if r.Class("absent") != nil {
 		t.Fatal("absent class should be nil")
 	}
-	r.Reset()
-	if n := r.Class("read").Count(0, sim.Hour); n != 0 {
-		t.Fatal("Reset did not clear recorder")
-	}
 }
 
 func TestCounterSeriesRate(t *testing.T) {
@@ -109,10 +107,6 @@ func TestCounterSeriesRate(t *testing.T) {
 	if c.Rate(sim.Minute, sim.Minute) != 0 {
 		t.Fatal("empty-interval rate should be 0")
 	}
-	c.Reset()
-	if c.Total(0, sim.Hour) != 0 {
-		t.Fatal("Reset did not clear counter")
-	}
 }
 
 func TestGaugeIntegral(t *testing.T) {
@@ -124,16 +118,6 @@ func TestGaugeIntegral(t *testing.T) {
 	}
 	if g.Value() != 0 {
 		t.Fatalf("Value = %v", g.Value())
-	}
-}
-
-func TestGaugeAverageOver(t *testing.T) {
-	g := NewGauge(0, 1)
-	snap := g.IntegralUntil(0)
-	g.Set(5*sim.Second, 3)
-	avg := g.AverageOver(snap, 0, 10*sim.Second)
-	if math.Abs(avg-2) > 1e-9 { // 1 for 5s, 3 for 5s → avg 2
-		t.Fatalf("AverageOver = %v, want 2", avg)
 	}
 }
 

@@ -34,9 +34,9 @@ func latencyStream(seed int64, n, spanMin int) ([]sim.Time, []float64) {
 // must be credited to the window it belongs to, not the newest window.
 func TestWindowedOutOfOrderRouting(t *testing.T) {
 	w := NewWindowed(sim.Minute)
-	w.Add(10*sim.Second, 1)      // window 0
-	w.Add(3*sim.Minute, 100)     // window 3 (newest)
-	w.Add(30*sim.Second, 2)      // late arrival for window 0
+	w.Add(10*sim.Second, 1)          // window 0
+	w.Add(3*sim.Minute, 100)         // window 3 (newest)
+	w.Add(30*sim.Second, 2)          // late arrival for window 0
 	w.Add(sim.Minute+sim.Second, 50) // late arrival for never-seen window 1
 
 	if n := w.Count(0, sim.Minute); n != 2 {
@@ -221,9 +221,9 @@ func TestWindowedSketchMemoryFlat(t *testing.T) {
 	}
 }
 
-// TestWindowedTrimRingAmortized: the head-indexed ring keeps samples
-// queryable and correct across repeated Trims, and a MaxWindows cap evicts
-// oldest-first as new windows open.
+// TestWindowedTrimRing: the head-indexed ring keeps samples queryable and
+// correct across repeated Trims, in exact and in sketch mode (where trimmed
+// sketches are recycled into new windows).
 func TestWindowedTrimRing(t *testing.T) {
 	w := NewWindowed(sim.Minute)
 	for i := 0; i < 100; i++ {
@@ -242,22 +242,25 @@ func TestWindowedTrimRing(t *testing.T) {
 		t.Fatalf("max over retained = %v", got)
 	}
 
-	capped := NewWindowedSketch(sim.Minute, 0.02)
-	capped.SetMaxWindows(5)
+	sk := NewWindowedSketch(sim.Minute, 0.02)
 	for i := 0; i < 30; i++ {
-		capped.Add(sim.Time(i)*sim.Minute, float64(i))
+		sk.Add(sim.Time(i)*sim.Minute, float64(i))
+		sk.Trim(sim.Time(i-4) * sim.Minute) // rolling 5-window retention
 	}
-	if got := capped.NumWindows(); got != 5 {
-		t.Fatalf("capped windows = %d, want 5", got)
+	if got := sk.NumWindows(); got != 5 {
+		t.Fatalf("sketched windows = %d, want 5", got)
 	}
-	if got := capped.WindowStartAt(0); got != 25*sim.Minute {
-		t.Fatalf("capped oldest start = %v, want 25m", got)
+	if got := sk.WindowStartAt(0); got != 25*sim.Minute {
+		t.Fatalf("sketched oldest start = %v, want 25m", got)
+	}
+	if got := sk.WindowCountAt(4); got != 1 {
+		t.Fatalf("newest window count = %d, want 1 (recycled sketch not reset)", got)
 	}
 }
 
 // TestCounterSeriesTrimAndCap mirrors the ring behavior for counters: Trim
-// drops old windows without disturbing retained totals, and a cap evicts
-// oldest-first.
+// drops old windows without disturbing retained totals, and a rolling trim
+// caps the series oldest-first.
 func TestCounterSeriesTrimAndCap(t *testing.T) {
 	c := NewCounterSeries(sim.Minute)
 	for i := 0; i < 100; i++ {
@@ -274,9 +277,9 @@ func TestCounterSeriesTrimAndCap(t *testing.T) {
 	}
 
 	capped := NewCounterSeries(sim.Minute)
-	capped.SetMaxWindows(4)
 	for i := 0; i < 20; i++ {
 		capped.Inc(sim.Time(i)*sim.Minute, 1)
+		capped.Trim(sim.Time(i-3) * sim.Minute)
 	}
 	if got := capped.Total(0, sim.Hour); got != 4 {
 		t.Fatalf("capped total = %v, want 4", got)

@@ -337,22 +337,6 @@ func MSELoss(pred, target *tensor.Matrix) (float64, *tensor.Matrix) {
 	return loss / n, grad
 }
 
-// BCELoss returns binary cross-entropy (expects sigmoid outputs in (0,1))
-// and ∂L/∂pred.
-func BCELoss(pred, target *tensor.Matrix) (float64, *tensor.Matrix) {
-	const eps = 1e-9
-	n := float64(len(pred.Data))
-	grad := tensor.New(pred.Rows, pred.Cols)
-	loss := 0.0
-	for i := range pred.Data {
-		p := math.Min(math.Max(pred.Data[i], eps), 1-eps)
-		y := target.Data[i]
-		loss += -(y*math.Log(p) + (1-y)*math.Log(1-p))
-		grad.Data[i] = (p - y) / (p * (1 - p)) / n
-	}
-	return loss / n, grad
-}
-
 // Adam is the Adam optimizer.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64

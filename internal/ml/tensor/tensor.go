@@ -6,7 +6,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -149,13 +148,6 @@ func (m *Matrix) Add(b *Matrix) {
 	}
 }
 
-// Scale multiplies all elements in place.
-func (m *Matrix) Scale(f float64) {
-	for i := range m.Data {
-		m.Data[i] *= f
-	}
-}
-
 // ColSums returns a 1×cols matrix of column sums.
 func (m *Matrix) ColSums() *Matrix {
 	out := New(1, m.Cols)
@@ -166,13 +158,4 @@ func (m *Matrix) ColSums() *Matrix {
 		}
 	}
 	return out
-}
-
-// Norm reports the Frobenius norm.
-func (m *Matrix) Norm() float64 {
-	s := 0.0
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }

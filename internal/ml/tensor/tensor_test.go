@@ -90,17 +90,12 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestScaleZeroNorm(t *testing.T) {
+func TestZero(t *testing.T) {
 	m := FromSlice(1, 3, []float64{3, 4, 0})
-	if m.Norm() != 5 {
-		t.Fatalf("Norm = %v", m.Norm())
-	}
-	m.Scale(2)
-	if m.At(0, 1) != 8 {
-		t.Fatal("Scale failed")
-	}
 	m.Zero()
-	if m.Norm() != 0 {
-		t.Fatal("Zero failed")
+	for _, v := range m.Data {
+		if v != 0 {
+			t.Fatalf("Zero left %v", m.Data)
+		}
 	}
 }

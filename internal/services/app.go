@@ -118,6 +118,9 @@ func newAppPlaced(eng *sim.Engine, spec AppSpec, window sim.Time, cl *cluster.Cl
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	if !(tc.SketchAlpha >= 0 && tc.SketchAlpha < 1) {
+		return nil, fmt.Errorf("telemetry: sketch alpha %v out of [0,1) (0 = exact collectors)", tc.SketchAlpha)
+	}
 	if window <= 0 {
 		window = metrics.DefaultWindow
 	}

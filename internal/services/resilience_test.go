@@ -259,22 +259,22 @@ func TestAbandonedAttemptSpanExcludedFromCriticalPath(t *testing.T) {
 	if len(traces) != 1 || !traces[0].Complete {
 		t.Fatalf("traces = %d (complete=%v), want 1 complete", len(traces), len(traces) == 1 && traces[0].Complete)
 	}
-	abandoned, backendSpans := 0, 0
+	abandoned := 0
+	var backend trace.Trace // the backend's spans alone
 	for _, s := range traces[0].Spans {
 		if s.Service == "backend" {
-			backendSpans++
+			backend.Spans = append(backend.Spans, s)
 			if s.Abandoned {
 				abandoned++
 			}
 		}
 	}
-	if backendSpans != 2 || abandoned != 1 {
-		t.Fatalf("backend spans = %d (abandoned %d), want 2 with 1 abandoned", backendSpans, abandoned)
+	if len(backend.Spans) != 2 || abandoned != 1 {
+		t.Fatalf("backend spans = %d (abandoned %d), want 2 with 1 abandoned", len(backend.Spans), abandoned)
 	}
 	// Critical path counts only the successful attempt: ≈10 ms, not ≈20.
-	bd := app.Tracer.CriticalBreakdown("get")
-	if ms := bd["backend"].Millis(); math.Abs(ms-10) > 1 {
-		t.Fatalf("backend critical share = %v ms, want ≈10 (abandoned span excluded)", ms)
+	if svc, tot := backend.CriticalService(); svc != "backend" || math.Abs(tot.Millis()-10) > 1 {
+		t.Fatalf("backend critical share = %s/%v ms, want backend/≈10 (abandoned span excluded)", svc, tot.Millis())
 	}
 }
 

@@ -140,9 +140,6 @@ func NewEngine(seed int64) *Engine {
 // Now reports the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// Seed reports the engine's base seed.
-func (e *Engine) Seed() int64 { return e.seed }
-
 // Fired reports how many events have executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 

@@ -7,57 +7,22 @@ import "fmt"
 // master seed.
 const fleetSeedStride = 2000003
 
-// FleetParams parameterises the multi-tenant fleet generator: N independent
-// tenant applications drawn from the same seeded topology generator, sized
-// for coexistence on one shared cluster.
-type FleetParams struct {
-	// Prefix names tenants "<Prefix>-NN" (default "tenant").
-	Prefix string
-	// N is the tenant count (required for GenerateFleet).
-	N int
-	// Seed drives the per-tenant generator streams.
-	Seed int64
-}
-
-func (p *FleetParams) defaults() {
-	if p.Prefix == "" {
-		p.Prefix = "tenant"
-	}
-}
-
-// FleetMember builds tenant i of the fleet. Member i depends only on
-// (Prefix, Seed, i) — never on N — so a 4-tenant fleet is a prefix of the
-// 32-tenant fleet and sweeps over tenant counts share per-tenant work.
-// Members stay lean (depth ≤ 3, 4–8 target cores, cycling by index): fleets
-// scale by tenant count, not by per-tenant size. SLA headroom is fixed at a
-// generous 6× — unlike the adversarial corpus, a fleet should mostly admit,
-// so capacity (not SLA infeasibility) is what admission control arbitrates.
-func FleetMember(p FleetParams, i int) (*File, error) {
-	p.defaults()
+// FleetMember builds tenant i ("tenant-NN") of the multi-tenant fleet drawn
+// from the seeded topology generator with master seed seed, sized for
+// coexistence on one shared cluster. Member i depends only on (seed, i), so
+// a 4-tenant fleet is a prefix of the 32-tenant fleet and sweeps over tenant
+// counts share per-tenant work; two calls with equal arguments produce
+// byte-identical files, like Generate. Members stay lean (depth ≤ 3, 4–8
+// target cores, cycling by index): fleets scale by tenant count, not by
+// per-tenant size. SLA headroom is fixed at a generous 6× — unlike the
+// adversarial corpus, a fleet should mostly admit, so capacity (not SLA
+// infeasibility) is what admission control arbitrates.
+func FleetMember(seed int64, i int) (*File, error) {
 	return Generate(GenParams{
-		Name:        fmt.Sprintf("%s-%02d", p.Prefix, i),
-		Seed:        p.Seed*fleetSeedStride + int64(i),
-		MinDepth:    2,
+		Name:        fmt.Sprintf("tenant-%02d", i),
+		Seed:        seed*fleetSeedStride + int64(i),
 		MaxDepth:    3,
 		TargetCores: []float64{4, 6, 8}[i%3],
 		SLAHeadroom: 6,
 	})
-}
-
-// GenerateFleet builds the N tenants of a fleet. Two calls with equal params
-// produce byte-identical files, like Generate.
-func GenerateFleet(p FleetParams) ([]*File, error) {
-	p.defaults()
-	if p.N <= 0 {
-		return nil, fmt.Errorf("spec: FleetParams.N required")
-	}
-	files := make([]*File, p.N)
-	for i := 0; i < p.N; i++ {
-		f, err := FleetMember(p, i)
-		if err != nil {
-			return nil, fmt.Errorf("fleet member %d: %w", i, err)
-		}
-		files[i] = f
-	}
-	return files, nil
 }

@@ -6,6 +6,25 @@ import (
 	"math/rand"
 )
 
+// Fixed shape of every generated topology.
+const (
+	// genMinDepth is the fewest layers of the service DAG, frontend
+	// included.
+	genMinDepth = 2
+	// genMaxWidth bounds services per non-frontend layer.
+	genMaxWidth = 3
+	// genMaxFanOut bounds outbound calls per handler.
+	genMaxFanOut = 2
+	// genRPCShare and genEventShare set the call-edge kind mix; the
+	// remainder is mq.
+	genRPCShare, genEventShare = 0.6, 0.2
+	// genMaxClasses bounds the interactive request classes.
+	genMaxClasses = 2
+	// genAsyncProb is the probability of adding a spawned async worker
+	// class.
+	genAsyncProb = 0.35
+)
+
 // GenParams parameterises the seeded random-topology generator. The zero
 // value of every bound selects the default noted on the field; Seed and Name
 // are the caller's identity for the topology. Two calls with equal params
@@ -16,21 +35,9 @@ type GenParams struct {
 	Name string
 	// Seed drives every random draw.
 	Seed int64
-	// MinDepth..MaxDepth bound the layers of the service DAG (defaults 2..4,
-	// frontend included).
-	MinDepth, MaxDepth int
-	// MaxWidth bounds services per non-frontend layer (default 3).
-	MaxWidth int
-	// MaxFanOut bounds outbound calls per handler (default 2).
-	MaxFanOut int
-	// RPCShare and EventShare set the call-edge kind mix; the remainder is
-	// mq (defaults 0.6 / 0.2).
-	RPCShare, EventShare float64
-	// MaxClasses bounds the interactive request classes (default 2).
-	MaxClasses int
-	// AsyncProb is the probability of adding a spawned async worker class
-	// (default 0.35).
-	AsyncProb float64
+	// MaxDepth bounds the layers of the service DAG, frontend included
+	// (default genMinDepth+2).
+	MaxDepth int
 	// TargetCores sizes the workload rate so the offered compute load is
 	// roughly this many cores (default 8).
 	TargetCores float64
@@ -44,29 +51,8 @@ type GenParams struct {
 }
 
 func (p *GenParams) defaults() {
-	if p.MinDepth <= 0 {
-		p.MinDepth = 2
-	}
-	if p.MaxDepth < p.MinDepth {
-		p.MaxDepth = p.MinDepth + 2
-	}
-	if p.MaxWidth <= 0 {
-		p.MaxWidth = 3
-	}
-	if p.MaxFanOut <= 0 {
-		p.MaxFanOut = 2
-	}
-	if p.RPCShare <= 0 {
-		p.RPCShare = 0.6
-	}
-	if p.EventShare <= 0 {
-		p.EventShare = 0.2
-	}
-	if p.MaxClasses <= 0 {
-		p.MaxClasses = 2
-	}
-	if p.AsyncProb <= 0 {
-		p.AsyncProb = 0.35
+	if p.MaxDepth < genMinDepth {
+		p.MaxDepth = genMinDepth + 2
 	}
 	if p.TargetCores <= 0 {
 		p.TargetCores = 8
@@ -104,19 +90,19 @@ type generator struct {
 func (g *generator) build() *File {
 	p := g.p
 	g.file = File{Version: Version, App: p.Name}
-	depth := p.MinDepth + g.rng.Intn(p.MaxDepth-p.MinDepth+1)
+	depth := genMinDepth + g.rng.Intn(p.MaxDepth-genMinDepth+1)
 
-	// Layer 0 is the single frontend; deeper layers are 1..MaxWidth wide.
+	// Layer 0 is the single frontend; deeper layers are 1..genMaxWidth wide.
 	g.addService("frontend", 0)
 	for l := 1; l < depth; l++ {
-		width := 1 + g.rng.Intn(p.MaxWidth)
+		width := 1 + g.rng.Intn(genMaxWidth)
 		for i := 0; i < width; i++ {
 			g.addService(fmt.Sprintf("svc-%d-%d", l, i), l)
 		}
 	}
 
 	// Interactive classes: independent flows from the frontend.
-	classes := 1 + g.rng.Intn(p.MaxClasses)
+	classes := 1 + g.rng.Intn(genMaxClasses)
 	for c := 0; c < classes; c++ {
 		name := fmt.Sprintf("op-%c", 'a'+c)
 		g.growFlow(0, 0, name)
@@ -164,7 +150,7 @@ func (g *generator) build() *File {
 
 	// Optionally hang an async worker class off the first interactive flow,
 	// like the built-ins' ML and transcode tiers.
-	if g.rng.Float64() < p.AsyncProb {
+	if g.rng.Float64() < genAsyncProb {
 		wi := len(g.file.Services)
 		g.file.Services = append(g.file.Services, Service{
 			Name:     "async-worker",
@@ -249,7 +235,7 @@ func (g *generator) growFlow(si, layer int, class string) {
 	steps := []Step{g.computeStep(layer)}
 	if layer+1 < len(g.layers) {
 		next := g.layers[layer+1]
-		fan := 1 + g.rng.Intn(min(g.p.MaxFanOut, len(next)))
+		fan := 1 + g.rng.Intn(min(genMaxFanOut, len(next)))
 		targets := g.rng.Perm(len(next))[:fan]
 		var calls []Step
 		for _, t := range targets {
@@ -289,9 +275,9 @@ func (g *generator) computeStep(layer int) Step {
 func (g *generator) pickMode() string {
 	u := g.rng.Float64()
 	switch {
-	case u < g.p.RPCShare:
+	case u < genRPCShare:
 		return "nested-rpc"
-	case u < g.p.RPCShare+g.p.EventShare:
+	case u < genRPCShare+genEventShare:
 		return "event-rpc"
 	default:
 		return "mq"

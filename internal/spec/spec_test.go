@@ -201,6 +201,11 @@ func TestLoaderErrorPaths(t *testing.T) {
 			`app.yaml: services.frontend.replicas: must be at most 4096`,
 		},
 		{
+			"workload rate over the bound",
+			minimalDoc + "workload:\n  rate: 1e12\n  mix:\n    get: 1\n",
+			`app.yaml: workload.rate: must be at most 100000`,
+		},
+		{
 			"thread count over the bound",
 			strings.Replace(minimalDoc, "replicas: 1", "replicas: 1\n    threads: 2000000", 1),
 			`app.yaml: services.frontend.threads: must be at most 1048576`,
@@ -529,11 +534,11 @@ func TestGenerateAlwaysBuildable(t *testing.T) {
 }
 
 func TestGenerateFleet(t *testing.T) {
-	fleet, err := GenerateFleet(FleetParams{N: 6, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, f := range fleet {
+	for i := 0; i < 6; i++ {
+		f, err := FleetMember(3, i)
+		if err != nil {
+			t.Fatalf("member %d: %v", i, err)
+		}
 		want := fmt.Sprintf("tenant-%02d", i)
 		if f.App != want {
 			t.Fatalf("member %d named %q, want %q", i, f.App, want)
@@ -545,13 +550,9 @@ func TestGenerateFleet(t *testing.T) {
 		if c.Rate <= 0 || len(c.Spec.Services) < 2 {
 			t.Fatalf("member %d: degenerate tenant (rate %v, %d services)", i, c.Rate, len(c.Spec.Services))
 		}
-	}
-	// Member i must not depend on N: a small fleet is a prefix of a large one.
-	solo, err := FleetMember(FleetParams{Seed: 3}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fleet[4], solo) {
-		t.Fatal("FleetMember(4) differs from GenerateFleet member 4")
+		again, err := FleetMember(3, i)
+		if err != nil || !reflect.DeepEqual(f, again) {
+			t.Fatalf("member %d: two calls with equal arguments differ (err %v)", i, err)
+		}
 	}
 }

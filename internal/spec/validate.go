@@ -5,13 +5,15 @@ import (
 	"strings"
 )
 
-// Upper bounds on a service's counts. Every replica is simulated state, so
-// an unbounded count lets a spec file exhaust memory before the run starts.
-// Both sit far above every checked-in spec and generator (at most 16
-// replicas; threads up to the rpc default of 4096).
+// Upper bounds on a service's counts and on the offered load. Every replica
+// and every in-flight request is simulated state, so an unbounded count or
+// rate lets a spec file exhaust memory. All sit far above every checked-in
+// spec and generator (at most 16 replicas; threads up to the rpc default of
+// 4096; rates up to 200 checked in and at most 8000 generated).
 const (
 	maxReplicas = 4096    // replicas and max_replicas
 	maxSlots    = 1 << 20 // threads and daemons per replica
+	maxRate     = 1e5     // workload.rate, requests per second
 )
 
 // Validate checks a decoded File semantically and returns the first problem
@@ -165,6 +167,9 @@ func (f *File) Validate() error {
 	if f.Workload != nil {
 		if f.Workload.Rate < 0 {
 			return errf("workload.rate", "must not be negative")
+		}
+		if !(f.Workload.Rate <= maxRate) {
+			return errf("workload.rate", "must be at most %g", maxRate)
 		}
 		total := 0.0
 		for _, e := range f.Workload.Mix {

@@ -41,28 +41,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the sample standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Min returns the minimum of xs; it panics on an empty slice.
-func Min(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs; it panics on an empty slice.
-func Max(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // scratchPool recycles the working buffers of percentile queries so the
 // metrics hot path allocates nothing in steady state. Buffers are shared
 // across goroutines (experiment cells run on a worker pool), which sync.Pool
@@ -226,32 +204,4 @@ func GridPercentiles(xs, ps, out []float64) {
 	}
 	*scratch = buf[:0]
 	PutScratch(scratch)
-}
-
-// Summary bundles the descriptive statistics of a sample.
-type Summary struct {
-	N             int
-	Mean, Std     float64
-	Min, Max      float64
-	P50, P90, P99 float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return Summary{
-		N:    len(xs),
-		Mean: Mean(xs),
-		Std:  StdDev(xs),
-		Min:  sorted[0],
-		Max:  sorted[len(sorted)-1],
-		P50:  PercentileSorted(sorted, 50),
-		P90:  PercentileSorted(sorted, 90),
-		P99:  PercentileSorted(sorted, 99),
-	}
 }

@@ -212,17 +212,6 @@ func (tr *Tracer) FlushOpen(now sim.Time) {
 // Traces returns completed traces (oldest first).
 func (tr *Tracer) Traces() []*Trace { return tr.done[tr.head:] }
 
-// TracesFor filters completed traces by class.
-func (tr *Tracer) TracesFor(class string) []*Trace {
-	var out []*Trace
-	for _, t := range tr.Traces() {
-		if t.Class == class {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // SlowestTrace returns the completed trace with the highest latency for a
 // class (nil when none).
 func (tr *Tracer) SlowestTrace(class string) *Trace {
@@ -236,22 +225,4 @@ func (tr *Tracer) SlowestTrace(class string) *Trace {
 		}
 	}
 	return best
-}
-
-// CriticalBreakdown aggregates, across a class's traces, each service's
-// share of cumulative response time — a coarse critical-path profile.
-func (tr *Tracer) CriticalBreakdown(class string) map[string]sim.Time {
-	out := map[string]sim.Time{}
-	for _, t := range tr.Traces() {
-		if t.Class != class {
-			continue
-		}
-		for _, s := range t.Spans {
-			if s.Abandoned {
-				continue
-			}
-			out[s.Service] += s.ResponseTime()
-		}
-	}
-	return out
 }

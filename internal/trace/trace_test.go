@@ -95,15 +95,14 @@ func TestSlowestAndBreakdown(t *testing.T) {
 	if slow == nil || slow.Latency() != 90*sim.Millisecond {
 		t.Fatalf("slowest = %v", slow)
 	}
-	bd := tr.CriticalBreakdown("c")
-	if bd["svc"] != 140*sim.Millisecond {
-		t.Fatalf("breakdown = %v", bd)
+	if svc, tot := slow.CriticalService(); svc != "svc" || tot != 90*sim.Millisecond {
+		t.Fatalf("slowest trace's critical service = %s/%v, want svc/90ms", svc, tot)
 	}
 	if tr.SlowestTrace("absent") != nil {
 		t.Fatal("absent class should return nil")
 	}
-	if len(tr.TracesFor("c")) != 3 {
-		t.Fatal("TracesFor wrong")
+	if len(tr.Traces()) != 3 {
+		t.Fatal("Traces wrong")
 	}
 }
 
@@ -151,8 +150,9 @@ func TestCriticalPathSkipsAbandonedSpans(t *testing.T) {
 	if svc != "b" || tot != 30*sim.Millisecond {
 		t.Fatalf("critical = %s/%v, want b/30ms (abandoned span excluded)", svc, tot)
 	}
-	bd := tr.CriticalBreakdown("c")
-	if bd["a"] != 20*sim.Millisecond || bd["b"] != 30*sim.Millisecond {
-		t.Fatalf("breakdown = %v", bd)
+	// With b gone, a's share is its completed span alone.
+	onlyA := Trace{Spans: []Span{ab, span("a", 0, 0, 20*sim.Millisecond, 0)}}
+	if svc, tot := onlyA.CriticalService(); svc != "a" || tot != 20*sim.Millisecond {
+		t.Fatalf("critical = %s/%v, want a/20ms (abandoned span excluded)", svc, tot)
 	}
 }
